@@ -19,19 +19,16 @@
 //
 // Flags:
 //   --spool      run only the spooled-vs-in-memory record comparison
-//                (three arms: memory, spool_ring, spool_queue — the latter
-//                two differ only in tuning.spool_ring, i.e. lock-free SPSC
-//                producer rings vs the mutex/condvar queue)
-//   --flight     add a fourth arm: flight-recorder mode (bounded on-disk
+//                (two arms: memory and spool)
+//   --flight     add a third arm: flight-recorder mode (bounded on-disk
 //                retention ring + periodic checkpoint anchors) on top of
-//                the spool_ring producer path.  Retention overhead =
-//                flight vs the unbounded spool_ring arm.
+//                the spool arm.  Retention overhead = flight vs the
+//                unbounded spool arm.
 //   --smoke      small spool grid (implies --spool and --flight); exit
-//                nonzero if the ring arm is >15% slower than in-memory,
-//                >10% slower than the queue arm, or the flight arm is >5%
-//                slower than unbounded spool_ring (the regression
-//                tripwires; all need >= 2 cores for overlap to be
-//                possible)
+//                nonzero if the spool arm is >15% slower than in-memory or
+//                the flight arm is >5% slower than the spool arm (the
+//                regression tripwires; both need >= 2 cores for overlap to
+//                be possible)
 
 #include <chrono>
 #include <cstdio>
@@ -127,24 +124,21 @@ Result best_of(int threads, bool shared_object, bool sharding) {
 // O(run-length) part the spooler exists to stream out), timed through
 // finish_record() so the spooled arm pays for sealing and fsyncing its file.
 
-// memory = in-memory VmLog (no spooler at all); ring/queue = spooled, with
-// the producer-side handoff being per-thread SPSC rings vs the shared
-// mutex/condvar queue (tuning.spool_ring on/off, on-disk format identical).
-// flight = spool_ring plus the flight-recorder retention ring: sealed
+// memory = in-memory VmLog (no spooler at all); spool = streamed to a spool
+// file through the spooler's bounded queue and writer thread.
+// flight = spool plus the flight-recorder retention ring: sealed
 // chunks land in a bounded on-disk directory (oldest evicted as new ones
 // seal) and the main thread ships periodic checkpoint anchors, so the arm
 // pays for everything always-on recording adds — anchor chunks, per-chunk
 // ring-file IO, eviction, and the final tail reassembly in finish_record.
-enum class SpoolMode { kMemory, kRing, kQueue, kFlight };
+enum class SpoolMode { kMemory, kSpool, kFlight };
 
 const char* spool_mode_name(SpoolMode m) {
   switch (m) {
     case SpoolMode::kMemory:
       return "memory";
-    case SpoolMode::kRing:
-      return "spool_ring";
-    case SpoolMode::kQueue:
-      return "spool_queue";
+    case SpoolMode::kSpool:
+      return "spool";
     default:
       return "flight";
   }
@@ -167,8 +161,6 @@ SpoolResult run_record_arm(int threads, SpoolMode mode, int iters,
   cfg.mode = vm::Mode::kRecord;
   cfg.keep_trace = true;
   cfg.tuning.record_sharding = true;
-  cfg.tuning.spool_ring =
-      mode == SpoolMode::kRing || mode == SpoolMode::kFlight;
   if (mode == SpoolMode::kFlight) {
     cfg.tuning.flight_recorder = true;
     cfg.tuning.retention_chunks = 4;  // small enough that eviction runs
@@ -243,8 +235,6 @@ Json to_json(const SpoolResult& r) {
       .field("written_bytes", r.spool.written_bytes)
       .field("chunks_written", r.spool.chunks_written)
       .field("queue_high_water_bytes", r.spool.queue_high_water_bytes)
-      .field("ring_high_water_bytes", r.spool.ring_high_water_bytes)
-      .field("ring_records", r.spool.ring_records)
       .field("writer_parks", r.spool.writer_parks)
       .field("producer_blocks", r.spool.producer_blocks)
       .field("evicted_chunks", r.spool.evicted_chunks)
@@ -300,27 +290,23 @@ int main(int argc, char** argv) {
   for (int threads : spool_grid) {
     SpoolResult mem =
         best_record_arm(threads, SpoolMode::kMemory, spool_iters, spool_path);
-    SpoolResult ring =
-        best_record_arm(threads, SpoolMode::kRing, spool_iters, spool_path);
-    SpoolResult queue =
-        best_record_arm(threads, SpoolMode::kQueue, spool_iters, spool_path);
+    SpoolResult spool =
+        best_record_arm(threads, SpoolMode::kSpool, spool_iters, spool_path);
     SpoolResult fly;
     if (flight) {
       fly = best_record_arm(threads, SpoolMode::kFlight, spool_iters,
                             spool_path);
     }
     spool_records.push_back(to_json(mem));
-    spool_records.push_back(to_json(ring));
-    spool_records.push_back(to_json(queue));
+    spool_records.push_back(to_json(spool));
     if (flight) spool_records.push_back(to_json(fly));
     std::printf("%8d %12s %10.3f %10s %12s %14s %10s\n", threads, "memory",
                 mem.events_per_sec / 1e6, "-", "-", "-", "-");
-    std::vector<const SpoolResult*> arms{&ring, &queue};
+    std::vector<const SpoolResult*> arms{&spool};
     if (flight) arms.push_back(&fly);
     for (const SpoolResult* sp : arms) {
-      const double hw = static_cast<double>(
-          sp->mode == SpoolMode::kQueue ? sp->spool.queue_high_water_bytes
-                                        : sp->spool.ring_high_water_bytes);
+      const double hw =
+          static_cast<double>(sp->spool.queue_high_water_bytes);
       std::printf("%8d %12s %10.3f %9.2fx %12.1f %14.1f %10llu\n", threads,
                   spool_mode_name(sp->mode), sp->events_per_sec / 1e6,
                   mem.events_per_sec / sp->events_per_sec,
@@ -332,16 +318,9 @@ int main(int argc, char** argv) {
     // instead of overlapping them, so the serialization+IO work shows up as
     // wall time no matter how cheap the producer path is; only enforce the
     // tripwires where overlap is possible.
-    if (smoke && multicore && ring.seconds > 1.15 * mem.seconds) {
+    if (smoke && multicore && spool.seconds > 1.15 * mem.seconds) {
       std::fprintf(stderr,
-                   "TRIPWIRE: spool_ring record >15%% slower than in-memory "
-                   "at %d threads\n", threads);
-      tripwire = true;
-    }
-    // The ring path exists to beat the queue; it must at minimum not lose.
-    if (smoke && multicore && ring.seconds > 1.10 * queue.seconds) {
-      std::fprintf(stderr,
-                   "TRIPWIRE: spool_ring record >10%% slower than spool_queue "
+                   "TRIPWIRE: spooled record >15%% slower than in-memory "
                    "at %d threads\n", threads);
       tripwire = true;
     }
@@ -355,10 +334,10 @@ int main(int argc, char** argv) {
     }
     // Flight mode is meant to be always-on: bounded retention must cost
     // <5% over unbounded spooling on the same producer path.
-    if (smoke && multicore && fly.seconds > 1.05 * ring.seconds) {
+    if (smoke && multicore && fly.seconds > 1.05 * spool.seconds) {
       std::fprintf(stderr,
                    "TRIPWIRE: flight-recorder record >5%% slower than "
-                   "unbounded spool_ring at %d threads\n", threads);
+                   "unbounded spooling at %d threads\n", threads);
       tripwire = true;
     }
   }

@@ -11,22 +11,13 @@
 // existing IntervalCursor / network-log machinery without ever
 // materializing the serialized bundle or the trace.
 //
-// Two producer paths feed the writer:
-//
-//   * Ring mode (Options::ring, the default): each recording thread owns a
-//     lock-free SPSC byte ring (common/spsc_ring.h) registered with
-//     register_ring().  A batch handoff is a contiguous reservation, a
-//     fixed-width little-endian record built with plain stores
-//     (record/wire_format.h: magic, kind, u16 length, per-record CRC32),
-//     and one release-store publish — no mutex, no condvar, no allocation
-//     on the producer side.  The writer round-robins the rings, CRC-checks
-//     each record, and reframes it into DJVUSPL1 items, so the on-disk
-//     format is untouched.  A full ring parks its producer on a per-ring
-//     condvar (counted in producer_blocks) — backpressure still bounds
-//     memory; an idle writer parks until a publish wakes it.
-//   * Queue mode (ring off — the ablation baseline — and the LogSink
-//     virtual interface): batches take a mutex/condvar bounded byte queue,
-//     exactly the pre-ring behaviour.
+// One producer path feeds the writer: a mutex/condvar queue bounded in
+// bytes (Options::buffer_bytes).  A recording thread hands over a batch by
+// pushing one item under the lock; a full queue blocks the producer until
+// the writer swaps the queue out, which is what bounds record-mode memory.
+// Both sides wake the other only when it is actually asleep, and only after
+// dropping the lock (see enqueue / drain_queue for the no-lost-wake-up
+// argument).
 //
 // On-disk format DJVUSPL1:
 //
@@ -49,9 +40,8 @@
 // short frame or CRC mismatch — and ends the stream at the last valid
 // chunk boundary instead of rejecting the file; clean_end() distinguishes
 // a finish-marked recording from a recovered prefix.  The finish item is
-// always sealed into its own final chunk — and, whatever channel it
-// arrived on, the writer holds it until every ring and the queue have
-// drained — so a torn tail costs at most the clean-end marker plus the
+// always sealed into its own final chunk — and the writer holds it until
+// the queue has drained — so a torn tail costs at most the clean-end marker plus the
 // final partial batch, never earlier data.
 #pragma once
 
@@ -60,7 +50,6 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -70,10 +59,8 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/ids.h"
-#include "common/spsc_ring.h"
 #include "record/spool_index.h"
 #include "record/trace_io.h"
-#include "record/wire_format.h"
 #include "record/vm_log.h"
 #include "sched/trace.h"
 
@@ -181,19 +168,18 @@ struct SpoolStats {
   /// admitted alone into an empty queue rather than deadlocking).
   std::uint64_t queue_high_water_bytes = 0;
 
-  /// Producer handoffs that had to block on backpressure (queue full, or a
-  /// ring-mode reservation that found its ring full and parked).
+  /// Producer handoffs that had to block on backpressure (queue full).
   std::uint64_t producer_blocks = 0;
 
-  /// Ring mode: wire records published across all producer rings.
+  /// Always 0.  Kept so readers of earlier per-thread-ring builds' stats
+  /// (metrics documents, bench JSON) keep their schema; the spooler now has
+  /// the queue as its only producer path.
   std::uint64_t ring_records = 0;
 
-  /// Ring mode: the worst per-ring occupancy any producer observed after a
-  /// publish — the per-thread bounded-memory witness (each ring holds at
-  /// most its capacity, spool_ring_bytes).
+  /// Always 0, for the same reason as ring_records.
   std::uint64_t ring_high_water_bytes = 0;
 
-  /// Times the writer parked idle (all rings and the queue empty).
+  /// Times the writer parked idle (queue empty).
   std::uint64_t writer_parks = 0;
 
   /// Bytes of the index footer appended at seal time (0 when indexing is
@@ -215,90 +201,16 @@ struct SpoolStats {
   std::uint64_t anchor_chunks = 0;
 };
 
-/// Record-side sink for log data.  vm::Vm feeds one of these when spooling
-/// is configured; LogSpooler is the production implementation, tests may
-/// substitute their own.
-class LogSink {
- public:
-  virtual ~LogSink() = default;
-
-  /// A batch of `thread`'s closed logical intervals, in schedule order.
-  /// Called only by the owning thread (periodic flush, thread end/detach)
-  /// or by the finishing thread after all workers quiesced.
-  virtual void schedule_batch(ThreadNum thread,
-                              const sched::IntervalList& intervals) = 0;
-
-  /// One recorded network event outcome (any thread, its own events).
-  virtual void network_entry(ThreadNum thread,
-                             const NetworkLogEntry& entry) = 0;
-
-  /// A batch of one thread's buffered trace records, in that thread's
-  /// program (= gc) order.  By value: the producer hands its buffer over
-  /// (move it in) and serialization happens off the producer's critical
-  /// path, on the writer thread.
-  virtual void trace_batch(std::vector<sched::TraceRecord> records) = 0;
-
-  /// A batch of `thread`'s causal per-key seqs in program order (causal
-  /// order mode only; same caller discipline as schedule_batch).  Default
-  /// no-op so total-order-era sinks keep compiling unchanged.
-  virtual void causal_batch(ThreadNum thread,
-                            const std::vector<std::uint64_t>& seqs) {
-    (void)thread;
-    (void)seqs;
-  }
-
-  /// End of recording: final stats and the number of threads created.
-  virtual void finish(const RecordStats& stats, std::uint32_t thread_count) = 0;
-};
-
-/// One recording thread's lock-free handoff lane (ring mode): the SPSC
-/// byte ring, the parking strip for full-ring backpressure, and per-ring
-/// self-measurements.  Producer side: the owning thread, through
-/// LogSpooler's ring-routed batch methods (SPSC — after that thread ends,
-/// the join handoff lets the finishing thread ship its residue).  Consumer
-/// side: always the writer thread.
-struct SpoolRing {
-  explicit SpoolRing(std::size_t bytes) : ring(bytes) {}
-
-  SpscRing ring;
-
-  /// Largest record (header + payload) admitted inline; batch kinds are
-  /// sliced to fit, unsliceable ones (network entries) spill to the heap
-  /// and ship a pointer record (wire::WireSpill).
-  std::size_t max_record = 0;
-
-  /// Full-ring backpressure parking.  The producer stores
-  /// producer_waiting, fences seq_cst, and re-tries the reservation; the
-  /// writer consumes, fences seq_cst, and loads producer_waiting.  One
-  /// side must observe the other (store → fence → load on both), so either
-  /// the retry finds the freed space or the wake is delivered; the timed
-  /// wait below is a backstop, not the correctness argument.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::atomic<bool> producer_waiting{false};
-
-  /// Per-ring counters, folded into SpoolStats snapshots.  Single-writer
-  /// each (the producer), published with relaxed stores.
-  std::atomic<std::uint64_t> records{0};
-  std::atomic<std::uint64_t> blocks{0};
-  std::atomic<std::uint64_t> high_water{0};
-};
-
-/// The streaming spooler: a LogSink backed by per-thread SPSC rings (or a
-/// bounded queue) and a background writer thread appending DJVUSPL1 chunks
-/// to one file.
-class LogSpooler : public LogSink {
+/// The streaming spooler: a bounded queue and a background writer thread
+/// appending DJVUSPL1 chunks to one file.  vm::Vm feeds one of these when
+/// spooling is configured.
+class LogSpooler {
  public:
   struct Options {
     std::string path;
     std::size_t buffer_bytes = 1 << 20;
     std::size_t chunk_bytes = 64 << 10;
     bool compress = false;
-    /// Lock-free per-thread producer rings; off = every handoff takes the
-    /// mutex/condvar queue (the ablation baseline).
-    bool ring = true;
-    /// Capacity of each producer ring (rounded up to a power of two).
-    std::size_t ring_bytes = 256 << 10;
     /// Append the per-chunk index footer (record/spool_index.h) after the
     /// finish chunk at seal time, enabling seek_to_gc and the parallel
     /// load path.  Off = the pre-index on-disk format, byte for byte
@@ -332,23 +244,36 @@ class LogSpooler : public LogSink {
 
   /// Closes implicitly (without rethrowing writer errors — call close()
   /// first to surface them).
-  ~LogSpooler() override;
+  ~LogSpooler();
 
   LogSpooler(const LogSpooler&) = delete;
   LogSpooler& operator=(const LogSpooler&) = delete;
 
-  // LogSink (the queue path).  All producer calls apply backpressure: they
-  // block while the queue holds buffer_bytes, which is what bounds
-  // record-mode memory.  A writer I/O failure is rethrown to the next
-  // producer call (and to close()), so a full disk surfaces in the
-  // recording run.
-  void schedule_batch(ThreadNum thread,
-                      const sched::IntervalList& intervals) override;
-  void network_entry(ThreadNum thread, const NetworkLogEntry& entry) override;
-  void trace_batch(std::vector<sched::TraceRecord> records) override;
-  void causal_batch(ThreadNum thread,
-                    const std::vector<std::uint64_t>& seqs) override;
-  void finish(const RecordStats& stats, std::uint32_t thread_count) override;
+  // Producer calls.  All apply backpressure: they block while the queue
+  // holds buffer_bytes, which is what bounds record-mode memory.  A writer
+  // I/O failure is rethrown to the next producer call (and to close()), so
+  // a full disk surfaces in the recording run.
+
+  /// A batch of `thread`'s closed logical intervals, in schedule order.
+  /// Called only by the owning thread (periodic flush, thread end/detach)
+  /// or by the finishing thread after all workers quiesced.
+  void schedule_batch(ThreadNum thread, const sched::IntervalList& intervals);
+
+  /// One recorded network event outcome (any thread, its own events).
+  void network_entry(ThreadNum thread, const NetworkLogEntry& entry);
+
+  /// A batch of one thread's buffered trace records, in that thread's
+  /// program (= gc) order.  By value: the producer hands its buffer over
+  /// (move it in) and serialization happens off the producer's critical
+  /// path, on the writer thread.
+  void trace_batch(std::vector<sched::TraceRecord> records);
+
+  /// A batch of `thread`'s causal per-key seqs in program order (causal
+  /// order mode only; same caller discipline as schedule_batch).
+  void causal_batch(ThreadNum thread, const std::vector<std::uint64_t>& seqs);
+
+  /// End of recording: final stats and the number of threads created.
+  void finish(const RecordStats& stats, std::uint32_t thread_count);
 
   /// Ships a checkpoint anchor (flight-recorder mode).  The writer seals
   /// the chunk currently assembling, then seals the anchor into its own
@@ -358,30 +283,8 @@ class LogSpooler : public LogSink {
   /// anchor is appended like any other item (harmless, but nothing evicts).
   void anchor(const SpoolAnchor& anchor);
 
-  /// Ring mode: creates and registers the calling (recording) thread's
-  /// producer ring.  nullptr when Options::ring is off — callers then pass
-  /// nullptr to the ring-routed methods below, which fall back to the
-  /// queue.  One registration per producer thread; the spooler owns the
-  /// ring for its own lifetime.
-  SpoolRing* register_ring();
-
-  // Ring-routed handoffs: lock-free fixed-width wire records into `ring`
-  // when non-null (a full ring parks the producer — bounded memory), the
-  // LogSink queue path when null.  Caller discipline matches the LogSink
-  // methods; `ring` must be the calling thread's registered ring (or a
-  // quiesced thread's, at end of record).
-  void schedule_batch(SpoolRing* ring, ThreadNum thread,
-                      const sched::IntervalList& intervals);
-  void network_entry(SpoolRing* ring, ThreadNum thread,
-                     const NetworkLogEntry& entry);
-  void trace_batch(SpoolRing* ring,
-                   const std::vector<sched::TraceRecord>& records);
-  void causal_batch(SpoolRing* ring, ThreadNum thread,
-                    const std::vector<std::uint64_t>& seqs);
-
-  /// Drains the rings and the queue, seals the final chunk, joins the
-  /// writer and closes the file.  Idempotent.  Rethrows any writer-thread
-  /// error.
+  /// Drains the queue, seals the final chunk, joins the writer and closes
+  /// the file.  Idempotent.  Rethrows any writer-thread error.
   void close();
 
   /// Relaxed-load snapshot (see SpoolStats for its semantics).
@@ -389,9 +292,9 @@ class LogSpooler : public LogSink {
   const std::string& path() const { return options_.path; }
 
  private:
-  /// Index metadata for one item, computed where the item is produced or
-  /// reframed (the producers and handle_wire_record already hold the
-  /// decoded values, so the writer never re-decodes bodies to index them).
+  /// Index metadata for one item, computed where the item is produced (the
+  /// producers already hold the decoded values, so the writer never
+  /// re-decodes bodies to index them).
   struct ItemMeta {
     ThreadNum thread = 0;
     bool has_thread = false;
@@ -419,30 +322,11 @@ class LogSpooler : public LogSink {
   void enqueue(Item item);
   void writer_main();
 
-  /// Throws when the writer latched an error or the spooler was closed —
-  /// the ring paths' equivalent of enqueue()'s under-lock checks.
-  void check_producer_abort();
-
-  /// Blocking contiguous reservation in `ring` (parks on backpressure).
-  std::uint8_t* reserve_record(SpoolRing& ring, std::size_t bytes);
-
-  /// Publishes the reservation, maintains per-ring stats, wakes a parked
-  /// writer.
-  void publish_record(SpoolRing& ring);
-
-  /// Ships an oversized already-encoded item body through `ring` as a
-  /// heap spill pointer record (preserves per-thread FIFO order).
-  void spill_record(SpoolRing& ring, SpoolItemKind kind, Bytes body);
-
   // Writer-side helpers.
-  void handle_wire_record(const wire::WireHeader& h,
-                          const std::uint8_t* payload);
   void append_item(std::uint8_t kind, BytesView body);
   void append_item(std::uint8_t kind, BytesView body, const ItemMeta& meta);
   void flush_chunk();
-  bool drain_ring(SpoolRing& ring);
   bool drain_queue();
-  bool all_channels_empty();
   void seal_finish();
   /// Appends one framed chunk to the file and flushes; throws Error on I/O
   /// failure.  Writer thread only.  Flight mode routes to write_ring_chunk
@@ -465,34 +349,20 @@ class LogSpooler : public LogSink {
   const Options options_;
   std::FILE* file_ = nullptr;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable producer_cv_;
   std::condition_variable writer_cv_;
   std::deque<Item> queue_;
   std::size_t pending_bytes_ = 0;
   bool closing_ = false;
   bool finished_ = false;  // finish() already enqueued
-  /// Ring-mode wake token: set under mutex_ by a producer that saw the
-  /// writer parked, cleared by the writer before it sleeps — closes the
-  /// publish-vs-park race without putting a lock on the publish fast path.
-  bool ring_wake_pending_ = false;
+  /// The writer is asleep in its idle park.  Read and written only under
+  /// mutex_, so a producer that sees false knows the writer will look at
+  /// the queue again before sleeping.
+  bool writer_parked_ = false;
+  /// Producers asleep on backpressure (same discipline as writer_parked_).
+  std::size_t producers_blocked_ = 0;
   std::exception_ptr writer_error_;
-
-  /// Mirrors of closing_/writer_error_ for the lock-free producer paths.
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> failed_{false};
-  /// True only while the writer sleeps in its idle park; ring producers
-  /// check it after every publish (fence-paired with the writer's
-  /// pre-park sweep) and take mutex_ only when it is set.
-  std::atomic<bool> writer_parked_{false};
-
-  /// Producer rings, registration-ordered.  Owned here (a ring outlives
-  /// its producer thread); the vector grows under rings_mutex_, the writer
-  /// refreshes its raw-pointer cache when ring_count_ changes.
-  mutable std::mutex rings_mutex_;
-  std::vector<std::unique_ptr<SpoolRing>> rings_;
-  std::atomic<std::size_t> ring_count_{0};
-  std::vector<SpoolRing*> ring_cache_;  // writer-private
 
   /// All counters relaxed atomics: stats() samples them without stopping
   /// anyone (see SpoolStats).
@@ -516,7 +386,6 @@ class LogSpooler : public LogSink {
   // Writer-private chunk assembly state (members so drain helpers share
   // them without threading through every call).
   ByteWriter chunk_;
-  std::vector<sched::TraceRecord> trace_scratch_;
   Bytes finish_body_;
   bool finish_pending_ = false;
 

@@ -418,21 +418,26 @@ void Socket::do_write(BytesView data) {
                    static_cast<std::uint64_t>(entry->error), this);
     throw_recorded(entry->error, "write");
   }
-  std::lock_guard<std::mutex> fd(write_mutex_);
+  // Turn-first (DESIGN.md §5), like do_read: the per-socket write lock is
+  // taken only once this thread owns its turn.  Taking it before the turn
+  // wait deadlocks racy writers — the holder waits for gc k+1 while the
+  // owner of gc k blocks on the lock.
   vm_.critical_event(
       EventKind::kSockWrite,
       [&](GlobalCount) {
         if (conn_ != nullptr && !virtual_) {
-      try {
-        conn_->write(data);
-      } catch (const net::NetError& err) {
-        vm_.replay_divergence(
-            EventKind::kSockWrite,
-            std::string("recorded-successful write failed during replay: ") +
-                err.what(),
-            this);
-      }
-    }
+          std::lock_guard<std::mutex> fd(write_mutex_);
+          try {
+            conn_->write(data);
+          } catch (const net::NetError& err) {
+            vm_.replay_divergence(
+                EventKind::kSockWrite,
+                std::string("recorded-successful write failed during "
+                            "replay: ") +
+                    err.what(),
+                this);
+          }
+        }
         // Virtual socket: "any message sent to a non-DJVM thread during
         // the record phase need not be sent again during the replay phase."
         return crc_aux(data);

@@ -9,8 +9,8 @@
 //     (index consistency after eviction);
 //   * tail-still-replayable across eviction: a phased workload whose
 //     earlier chunks were evicted resumes from the newest anchor carried
-//     by the tail itself, across {spool_ring} × {order_mode} (causal mode
-//     has no anchors — the degraded mode is no eviction, full replay);
+//     by the tail itself, in both order modes (causal mode has no
+//     anchors — the degraded mode is no eviction, full replay);
 //   * abnormal seal (no finish) during active recording assembles a
 //     recover-to-prefix tail, and seal_incident captures it;
 //   * assemble_flight_tail on a crash-leftover ring with a torn chunk
@@ -18,16 +18,18 @@
 //   * re-record-into-the-same-directory: manifested spools are cleared,
 //     unmanifested spools are refused, and the doctor resolves files
 //     through the manifest instead of the ambiguous vm-id scan;
-//   * writer-failure wakeup: a fault-injected writer death wakes parked
-//     producers (ring and queue paths) so their next handoff rethrows,
-//     and finish() racing the failure stays rethrowable.
+//   * writer-failure wakeup: a fault-injected writer death wakes producers
+//     blocked on queue backpressure so their next handoff rethrows, and
+//     finish() racing the failure stays rethrowable.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -236,15 +238,11 @@ core::Session make_phased(const core::SessionConfig& base, int tail_extra,
   return s;
 }
 
-class FlightTailReplay : public ::testing::TestWithParam<bool> {};
-
-TEST_P(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
-  const bool ring = GetParam();
-  const std::string dir = fresh_dir(ring ? "tail_ring" : "tail_queue");
+TEST(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
+  const std::string dir = fresh_dir("tail");
   core::SessionConfig cfg;
   cfg.tuning.stall_timeout = std::chrono::seconds(5);
   cfg.tuning.spool_dir = dir;
-  cfg.tuning.spool_ring = ring;
   cfg.tuning.flight_recorder = true;
   cfg.tuning.retention_chunks = 4;
   cfg.tuning.spool_chunk_bytes = 1024;
@@ -270,8 +268,6 @@ TEST_P(FlightTailReplay, ResumesFromNewestAnchorAcrossEviction) {
   auto divergent = make_phased(cfg, 2, &cp_log);
   EXPECT_THROW(divergent.replay_from(dir, 99), ReplayDivergenceError);
 }
-
-INSTANTIATE_TEST_SUITE_P(RingAndQueue, FlightTailReplay, ::testing::Bool());
 
 TEST(FlightRecorder, CausalModeHasNoAnchorsAndFullTail) {
   // kCausal refuses kGlobalConflict checkpoints, so a causal flight run
@@ -489,42 +485,46 @@ TEST(SpoolLifecycle, DoctorPrefersManifestOverVmIdScan) {
 
 // --- writer-failure wakeup (fault injection) --------------------------------
 
-class WriterFailure : public ::testing::TestWithParam<bool> {};
-
-TEST_P(WriterFailure, ParkedProducerWakesAndRethrows) {
-  const bool ring = GetParam();
-  const std::string dir = fresh_dir(ring ? "fail_ring" : "fail_queue");
+TEST(WriterFailure, BlockedProducersWakeAndRethrow) {
+  const std::string dir = fresh_dir("fail");
   record::LogSpooler::Options opts;
   opts.path = dir + "/vm.djvuspool";
-  opts.chunk_bytes = 512;
-  opts.ring = ring;
-  opts.ring_bytes = 4096;     // floor: park quickly on backpressure
-  opts.buffer_bytes = 4096;   // queue path parks quickly too
-  opts.fail_chunk = 1;        // writer dies sealing its first chunk
+  opts.chunk_bytes = 16 << 10;  // the first seal comes many handoffs in
+  opts.buffer_bytes = 4096;     // ~4 batches: producers block quickly
+  opts.fail_chunk = 1;          // writer dies sealing its first chunk
 
   record::LogSpooler spooler(7, opts);
-  // Pump until the failure propagates.  Bounded: once the writer is dead,
-  // a parked producer must be woken and the next handoff must rethrow —
-  // if the wakeup is lost this loop hangs and the test times out.
-  bool threw = false;
-  try {
-    for (int round = 0; round < 100000; ++round) {
-      spooler.trace_batch(trace_batch_at(round * 40, 40));
-    }
-  } catch (const Error&) {
-    threw = true;
+  // Several producers pump until the failure propagates.  Bounded: once
+  // the writer is dead, every producer blocked on backpressure must be
+  // woken and its next handoff must rethrow — if a wakeup is lost, that
+  // thread never returns and the test times out.
+  constexpr int kProducers = 3;
+  std::atomic<int> threw{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&spooler, &threw, p] {
+      try {
+        for (int round = 0; round < 100000; ++round) {
+          spooler.trace_batch(trace_batch_at((round * kProducers + p) * 40, 40));
+        }
+      } catch (const Error&) {
+        threw.fetch_add(1);
+      }
+    });
   }
-  EXPECT_TRUE(threw) << "writer death never surfaced to the producer";
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(threw.load(), kProducers)
+      << "writer death never surfaced to every producer";
+  EXPECT_GT(spooler.stats().producer_blocks, 0u)
+      << "backpressure never engaged";
 
-  // finish() racing failed_: rethrows, and stays rethrowable (the
+  // finish() racing the failure: rethrows, and stays rethrowable (the
   // finished_ flag must roll back when the enqueue throws).
   record::RecordStats stats;
   EXPECT_THROW(spooler.finish(stats, 1), Error);
   EXPECT_THROW(spooler.finish(stats, 1), Error);
   EXPECT_THROW(spooler.close(), Error);
 }
-
-INSTANTIATE_TEST_SUITE_P(RingAndQueue, WriterFailure, ::testing::Bool());
 
 }  // namespace
 }  // namespace djvu
