@@ -54,9 +54,13 @@ core::Session make_sensors() {
   for (int sid = 0; sid < kSensors; ++sid) {
     s.add_vm("sensor" + std::to_string(sid), 2 + sid, true, [sid](vm::Vm& v) {
       vm::DatagramSocket sock(v, static_cast<net::Port>(9000 + sid));
-      // Give the collector time to bind (a real sensor's warm-up); UDP to
-      // an unbound port silently vanishes, like in a real deployment.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      // Wait up to a second for the collector to bind (a real sensor's
+      // warm-up); UDP to an unbound port silently vanishes, like in a real
+      // deployment.
+      for (int w = 0; w < 1000 && !v.network().udp_bound({1, kCollectorPort});
+           ++w) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       for (int i = 0; i < kReadingsPerSensor; ++i) {
         ByteWriter w;
         w.u64(static_cast<std::uint64_t>(sid));

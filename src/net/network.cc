@@ -87,6 +87,11 @@ void Network::udp_unbind(SocketAddress addr) {
   udp_ports_.erase(addr);
 }
 
+bool Network::udp_bound(SocketAddress addr) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return udp_ports_.contains(addr);
+}
+
 void Network::route_datagram(SocketAddress from, SocketAddress dest,
                              BytesView payload) {
   if (payload.size() > config().max_datagram) {

@@ -61,6 +61,11 @@ class Network {
   /// Unbinds (called by UdpPort::close()).
   void udp_unbind(SocketAddress addr);
 
+  /// True while a UDP port is bound at `addr`.  A datagram routed to an
+  /// unbound address vanishes, so a sender that must not lose its first
+  /// datagrams can wait for the receiver's bind.
+  bool udp_bound(SocketAddress addr);
+
   /// Routes one datagram, applying loss/dup/delay per destination.
   /// `dest` may be a unicast address or a multicast group address.
   void route_datagram(SocketAddress from, SocketAddress dest,

@@ -85,7 +85,10 @@ std::size_t HalfPipe::read(std::uint8_t* out, std::size_t max) {
     if (ready > 0) return consume_locked(out, max, ready);
     if (writer_closed_ && segments_.empty()) return 0;  // EOF
     if (!segments_.empty()) {
-      cv_.wait_until(lock, segments_.front().ready);
+      // Wait on a copy: wait_until reads its deadline again after waking,
+      // and a concurrent close may free the segment meanwhile.
+      const TimePoint next = segments_.front().ready;
+      cv_.wait_until(lock, next);
     } else {
       cv_.wait(lock);
     }
@@ -130,7 +133,8 @@ bool HalfPipe::wait_available(std::size_t n) {
     }
     if (writer_closed_ && eventual < n) return false;
     if (!segments_.empty() && segments_.front().ready > now) {
-      cv_.wait_until(lock, segments_.front().ready);
+      const TimePoint next = segments_.front().ready;  // copy, as in read()
+      cv_.wait_until(lock, next);
     } else if (eventual >= n) {
       // Bytes exist but later segments are not ready yet: wait for the
       // first not-ready segment.

@@ -28,7 +28,10 @@ Datagram UdpPort::receive() {
       return dg;
     }
     if (!queue_.empty()) {
-      cv_.wait_until(lock, queue_.begin()->deliver_at);
+      // Wait on a copy: wait_until reads its deadline again after waking,
+      // and close() or another receiver may free the node meanwhile.
+      const TimePoint next = queue_.begin()->deliver_at;
+      cv_.wait_until(lock, next);
     } else {
       cv_.wait(lock);
     }

@@ -23,6 +23,13 @@ CausalOrder::Ticket CausalOrder::resolve(SectionKey key) {
   return t;
 }
 
+void CausalOrder::retire(SectionKey key) {
+  Shard& s = shard(key);
+  std::lock_guard<std::mutex> lock(s.mutex);
+  auto it = s.counts.find(key);
+  if (it != s.counts.end()) it->second->store(0, std::memory_order_seq_cst);
+}
+
 std::uint64_t CausalOrder::record_next(Ticket t) {
   // Same-key calls are serialized by the key's GC-critical section (the
   // caller's contract), so the fetch_add order IS the key's access order;

@@ -109,6 +109,12 @@ class CausalOrder {
   void publish(Ticket t);
   void publish(SectionKey key) { publish(resolve(key)); }
 
+  /// Both modes: ends the lifetime of the object `key` names — its count
+  /// returns to 0, so an object later allocated at the same address starts
+  /// a fresh per-key sequence.  Called when the object dies, after its
+  /// last event; the cell stays, so cached tickets remain valid.
+  void retire(SectionKey key);
+
   /// Total publications so far (replay progress observer).
   std::uint64_t published() const {
     return progress_.load(std::memory_order_acquire);

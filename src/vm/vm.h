@@ -338,6 +338,11 @@ class Vm {
   /// ticks the counter, advances the thread's cursor, traces.
   void replay_turn_end(sched::EventKind kind, std::uint64_t aux);
 
+  /// Ends the conflict-key lifetime of a dying object that keyed its
+  /// events by address (see ConflictKeyLifetime).  Causal mode only; a
+  /// no-op otherwise.
+  void retire_conflict_key(ConflictKey conflict);
+
   /// Spawns an application thread.  The spawn is a kThreadStart critical
   /// event of the *parent*, which makes threadNum assignment part of the
   /// enforced schedule ("threads are created in the same order in the
@@ -469,6 +474,28 @@ class Vm {
   /// Events between per-thread spool flushes (derived from
   /// tuning.spool_chunk_bytes so one flush roughly fills a chunk).
   GlobalCount spool_flush_events_ = 0;
+};
+
+/// Member of every runtime object that passes its own address as the
+/// ConflictKey of its events (SharedVar, Monitor, the socket wrappers).
+/// Causal order numbers events per key, and keys are addresses — so when
+/// the object dies, whether a later object reuses its address can differ
+/// between record and replay (allocation patterns differ, e.g. a recorded
+/// connect failure logs an entry that the replay never allocates).
+/// Retiring the key on destruction makes each per-key sequence count one
+/// object lifetime in both phases.  Declared right after the owner's
+/// `vm_`, so it is destroyed after every other member and also runs when
+/// the owner's constructor throws.
+class ConflictKeyLifetime {
+ public:
+  ConflictKeyLifetime(Vm& vm, ConflictKey key) : vm_(vm), key_(key) {}
+  ~ConflictKeyLifetime() { vm_.retire_conflict_key(key_); }
+  ConflictKeyLifetime(const ConflictKeyLifetime&) = delete;
+  ConflictKeyLifetime& operator=(const ConflictKeyLifetime&) = delete;
+
+ private:
+  Vm& vm_;
+  ConflictKey key_;
 };
 
 }  // namespace djvu::vm

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -390,6 +391,35 @@ TEST(CausalReplay, RepeatedCausalReplaysAgree) {
   core::verify(rec, rep2);
   EXPECT_EQ(rep1.vm("server").trace_digest, rep2.vm("server").trace_digest);
   EXPECT_EQ(rep1.vm("client").trace_digest, rep2.vm("client").trace_digest);
+}
+
+// Keys are addresses, so whether a new object lands on a dead object's
+// address can differ between record and replay (their allocation patterns
+// differ: a recorded connect failure logs an entry that the replay never
+// allocates).  Each per-key sequence must count one object lifetime: here
+// the second SharedVar reuses the first one's storage in exactly one of the
+// two phases, each way round.
+TEST(CausalReplay, AddressReuseInOnePhaseReplays) {
+  for (const bool reuse_in_record : {true, false}) {
+    core::SessionConfig cfg;
+    cfg.tuning.order_mode = OrderMode::kCausal;
+    cfg.tuning.stall_timeout = std::chrono::milliseconds(400);
+    core::Session s(cfg);
+    s.add_vm("app", 1, true, [reuse_in_record](vm::Vm& v) {
+      std::optional<vm::SharedVar<std::uint64_t>> slot[2];
+      slot[0].emplace(v, 1);
+      slot[0]->set(slot[0]->get() + 1);
+      slot[0].reset();
+      const bool reuse =
+          (v.mode() == vm::Mode::kRecord) == reuse_in_record;
+      std::optional<vm::SharedVar<std::uint64_t>>& next = slot[reuse ? 0 : 1];
+      next.emplace(v, 5);
+      next->set(next->get() * 3);
+    });
+    auto rec = s.record(41);
+    auto rep = s.replay(rec, 42);
+    core::verify(rec, rep);
+  }
 }
 
 }  // namespace

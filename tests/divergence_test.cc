@@ -281,16 +281,20 @@ TEST(Divergence, MultiVmSelectsLowestGcDivergence) {
   core::SessionConfig cfg;
   cfg.tuning.stall_timeout = std::chrono::milliseconds(400);
   Session s(cfg);
+  // The workers run one after the other, so thread 1 records the same
+  // counter positions in both VMs whatever the host's load: the cuts below
+  // then put b's divergence below a's by construction.  (Racing workers
+  // could leave a's thread 1 finishing early and b's late, inverting the
+  // two positions.)  Which VM unwinds first still races.
   for (const char* name : {"a", "b"}) {
     s.add_vm(name, name[0] == 'a' ? 1 : 2, true, [](vm::Vm& v) {
       vm::SharedVar<std::uint64_t> x(v, 0);
-      std::vector<vm::VmThread> threads;
       for (int t = 0; t < 2; ++t) {
-        threads.emplace_back(v, [&x] {
+        vm::VmThread worker(v, [&x] {
           for (int i = 0; i < 30; ++i) x.set(x.get() + 1);
         });
+        worker.join();
       }
-      for (auto& t : threads) t.join();
     });
   }
   auto rec = s.record(31);
