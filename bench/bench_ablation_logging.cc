@@ -23,7 +23,7 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "net/network.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "sched/interval.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
@@ -145,7 +145,7 @@ LiveRow live_compare(int threads, int objects, int iters) {
                               std::chrono::steady_clock::now() - start)
                               .count();
     v.detach_current();
-    row.dejavu_log_bytes = record::serialize(v.finish_record()).size();
+    row.dejavu_log_bytes = record::spool_item_bytes(v.finish_record());
   }
 
   // --- Levrouw (per-object counters) ---

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "core/session.h"
-#include "record/serializer.h"
 #include "record/text_export.h"
 #include "tests/test_util.h"
 #include "vm/shared_var.h"
@@ -118,8 +117,7 @@ int main() {
         [&] {
           std::vector<record::VmLog> logs;
           for (const auto& info : rec.vms) {
-            if (info.log) logs.push_back(record::deserialize(
-                record::serialize(*info.log)));
+            if (info.log) logs.push_back(*info.log);
           }
           return logs;
         }(),

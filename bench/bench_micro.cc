@@ -1,15 +1,16 @@
 // Micro-benchmarks (google-benchmark): the primitive costs behind the
 // tables — GC-critical-section ticks, shared-variable events in each mode,
-// interval recording, log serialization, and raw simulated-network ops.
+// interval recording, log spool save/load, and raw simulated-network ops.
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "core/session.h"
 #include "net/network.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "sched/global_counter.h"
 #include "sched/interval.h"
 #include "vm/shared_var.h"
@@ -141,22 +142,29 @@ record::VmLog make_log(std::size_t intervals) {
   return log;
 }
 
-void BM_LogSerialize(benchmark::State& state) {
+std::string spool_path() {
+  return (std::filesystem::temp_directory_path() / "djvu_bench_micro.djvuspool")
+      .string();
+}
+
+void BM_LogSpoolSave(benchmark::State& state) {
   record::VmLog log = make_log(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(record::serialize(log));
+    benchmark::DoNotOptimize(record::save_spooled_log(log, spool_path()));
   }
+  std::filesystem::remove(spool_path());
 }
-BENCHMARK(BM_LogSerialize)->Arg(100)->Arg(10000);
+BENCHMARK(BM_LogSpoolSave)->Arg(100)->Arg(10000);
 
-void BM_LogDeserialize(benchmark::State& state) {
-  Bytes data =
-      record::serialize(make_log(static_cast<std::size_t>(state.range(0))));
+void BM_LogSpoolLoad(benchmark::State& state) {
+  record::save_spooled_log(make_log(static_cast<std::size_t>(state.range(0))),
+                           spool_path());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(record::deserialize(data));
+    benchmark::DoNotOptimize(record::load_spooled_log(spool_path()));
   }
+  std::filesystem::remove(spool_path());
 }
-BENCHMARK(BM_LogDeserialize)->Arg(100)->Arg(10000);
+BENCHMARK(BM_LogSpoolLoad)->Arg(100)->Arg(10000);
 
 }  // namespace
 }  // namespace djvu

@@ -16,7 +16,7 @@
 #include <cstring>
 
 #include "bench/workload.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 
 namespace djvu::bench {
 namespace {
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       row.threads = threads;
       row.critical_events = info.critical_events;
       row.nw_events = info.network_events;
-      row.log_bytes = record::log_payload_size(*info.log);
+      row.log_bytes = record::spool_item_bytes(*info.log);
       row.rec_ovhd_pct =
           is_server ? 100.0 * (rec_server - native_server) / native_server
                     : 100.0 * (rec_client - native_client) / native_client;

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "bench/workload.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 
 namespace djvu::bench {
 namespace {
@@ -70,7 +70,7 @@ int main() {
     const auto& sinfo = server_rec.vm("server");
     server_rows.push_back(
         {threads, sinfo.critical_events, sinfo.network_events,
-         record::log_payload_size(*sinfo.log),
+         record::spool_item_bytes(*sinfo.log),
          100.0 * (rec_server - native_server) / native_server});
 
     // (b) client on the DJVM.
@@ -87,7 +87,7 @@ int main() {
     const auto& cinfo = client_rec.vm("client");
     client_rows.push_back(
         {threads, cinfo.critical_events, cinfo.network_events,
-         record::log_payload_size(*cinfo.log),
+         record::spool_item_bytes(*cinfo.log),
          100.0 * (rec_client - native_client) / native_client});
 
     std::fprintf(stderr, "[table2] threads=%d done\n", threads);

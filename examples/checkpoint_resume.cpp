@@ -12,7 +12,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "net/network.h"
-#include "record/serializer.h"
 #include "vm/thread.h"
 
 namespace {
@@ -38,8 +37,7 @@ Result run(vm::Mode mode, const record::VmLog* vm_log,
   cfg.keep_trace = false;
   std::shared_ptr<const record::VmLog> replay_log;
   if (mode == vm::Mode::kReplay) {
-    replay_log = std::make_shared<const record::VmLog>(
-        record::deserialize(record::serialize(*vm_log)));
+    replay_log = std::make_shared<const record::VmLog>(*vm_log);
   }
   vm::Vm v(network, cfg, replay_log);
   v.attach_main();

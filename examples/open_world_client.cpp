@@ -7,14 +7,16 @@
 // does not run at all — the client's reads are served from the log and its
 // writes are dropped, yet the client executes identically.
 //
-// The example also saves the log bundle to disk and replays from the file,
-// the full offline-debugging workflow.
+// The example also saves the log to disk as a spool file (Session::save_logs)
+// and replays from it (Session::replay_from), the full offline-debugging
+// workflow.
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "core/session.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "record/text_export.h"
 #include "tests/test_util.h"
 #include "vm/shared_var.h"
@@ -64,10 +66,11 @@ core::Session make_session() {
 }  // namespace
 
 int main() {
-  std::string dir = []{
+  const std::string dir = []{
     const char* t = std::getenv("TMPDIR");
-    return std::string(t ? t : "/tmp");
+    return std::string(t ? t : "/tmp") + "/djvu_open_world_client";
   }();
+  std::filesystem::create_directories(dir);
 
   // Record: both components run; the client content-logs its inputs.
   auto s = make_session();
@@ -76,22 +79,22 @@ int main() {
               static_cast<unsigned long long>(g_client_checksum));
   std::uint64_t recorded = g_client_checksum;
   std::printf("         open-world log: %zu bytes of recorded content, "
-              "%zu bytes total\n",
+              "%ju spool item bytes total\n",
               rec.vm("client").log->network.content_bytes(),
-              record::serialize(*rec.vm("client").log).size());
+              static_cast<std::uintmax_t>(
+                  record::spool_item_bytes(*rec.vm("client").log)));
 
   core::Session::save_logs(rec, dir);
-  std::printf("         saved to %s/client.djvulog\n\n", dir.c_str());
+  std::printf("         saved to %s/client.djvuspool\n\n", dir.c_str());
 
   // Replay from the file — the weather service does NOT run.
   auto s2 = make_session();
-  auto logs = s2.load_logs(dir);
-  auto rep = s2.replay_logs(logs);
+  auto rep = s2.replay_from(dir);
   core::verify(rec, rep);
   std::printf("replay : client checksum %llu (service offline) — %s\n",
               static_cast<unsigned long long>(g_client_checksum),
               g_client_checksum == recorded ? "perfect replay" : "MISMATCH");
 
-  std::remove((dir + "/client.djvulog").c_str());
+  std::filesystem::remove_all(dir);
   return g_client_checksum == recorded ? 0 : 1;
 }

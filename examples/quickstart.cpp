@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "core/session.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
 
@@ -44,10 +44,11 @@ int main() {
   std::printf("record : final counter = %llu (of 4000 attempted)\n",
               static_cast<unsigned long long>(recorded_value));
   std::printf("         %llu critical events in %zu schedule intervals, "
-              "log = %zu bytes\n",
+              "log = %ju spool item bytes\n",
               static_cast<unsigned long long>(rec.vm("app").critical_events),
               rec.vm("app").log->schedule.interval_count(),
-              record::serialize(*rec.vm("app").log).size());
+              static_cast<std::uintmax_t>(
+                  record::spool_item_bytes(*rec.vm("app").log)));
 
   // Replay phase: enforce the recorded schedule.
   recording = false;

@@ -1,18 +1,20 @@
 // Replay inspector: a log-forensics tool built on the public API.
 //
-//   ./examples/replay_inspector            # demo: record, save, inspect
-//   ./examples/replay_inspector FILE.djvulog   # inspect an existing bundle
+//   ./examples/replay_inspector                  # demo: record, save, inspect
+//   ./examples/replay_inspector FILE.djvuspool   # inspect a spool file
 //
-// Dumps a recorded log bundle in human-readable form: the per-thread
+// Dumps a recorded log (a DJVUSPL1 spool file, as a spooled record run or
+// Session::save_logs writes it) in human-readable form: the per-thread
 // logical schedule intervals (§2.2), every network log entry (§4.1.3), and
 // summary statistics — what a developer reads when deciding where a replay
 // diverged or which connection carried the bad bytes.
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "core/session.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "record/text_export.h"
 #include "sched/sched_stats.h"
 #include "tests/test_util.h"
@@ -23,7 +25,7 @@ namespace {
 
 using namespace djvu;
 
-/// A small two-VM app so the demo bundle has interesting contents.
+/// A small three-VM app so the demo logs have interesting contents.
 core::Session demo_session() {
   core::Session s;
   s.add_vm("server", 1, true, [](vm::Vm& v) {
@@ -51,39 +53,42 @@ core::Session demo_session() {
   return s;
 }
 
-void inspect(const record::VmLog& log) {
+void inspect(const std::string& path) {
+  const record::VmLog log = record::load_spooled_log(path);
   std::printf("%s", record::to_text(log).c_str());
-  const Bytes serialized = record::serialize(log);
-  std::printf("serialized size: %zu bytes (payload %zu)\n\n",
-              serialized.size(), record::log_payload_size(serialized));
+  std::printf("file size: %ju bytes (spool item bytes %ju)\n\n",
+              static_cast<std::uintmax_t>(std::filesystem::file_size(path)),
+              static_cast<std::uintmax_t>(record::spool_item_bytes(log)));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1) {
-    inspect(record::load_from_file(argv[1]));
+    inspect(argv[1]);
     return 0;
   }
 
   const char* t = std::getenv("TMPDIR");
-  std::string dir = t ? t : "/tmp";
+  const std::string dir =
+      std::string(t ? t : "/tmp") + "/djvu_replay_inspector";
+  std::filesystem::create_directories(dir);
   std::printf("no file given — recording a demo execution first\n\n");
   auto s = demo_session();
   auto rec = s.record(3);
   core::Session::save_logs(rec, dir);
   for (const char* name : {"server", "client0", "client1"}) {
-    std::string path = dir + "/" + name + ".djvulog";
+    std::string path = dir + "/" + name + ".djvuspool";
     std::printf("===== %s =====\n", path.c_str());
-    inspect(record::load_from_file(path));
-    std::remove(path.c_str());
+    inspect(path);
   }
 
-  // Sanity: the saved bundles replay.
+  // Sanity: the saved spools replay.
   auto s2 = demo_session();
-  auto rep = s2.replay(rec, 99);
+  auto rep = s2.replay_from(dir, 99);
   core::verify(rec, rep);
-  std::printf("(bundles verified: replay reproduces the recorded traces)\n");
+  std::filesystem::remove_all(dir);
+  std::printf("(spools verified: replay reproduces the recorded traces)\n");
   std::printf("\nserver replay scheduler counters:\n%s",
               sched::to_text(rep.vm("server").sched).c_str());
   return 0;

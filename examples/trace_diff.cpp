@@ -1,17 +1,21 @@
 // Trace diff: offline comparison of two execution traces.
 //
-//   ./examples/trace_diff A.djvutrace B.djvutrace   # diff two saved traces
+//   ./examples/trace_diff A.djvuspool B.djvuspool   # diff two saved traces
 //   ./examples/trace_diff                           # demo mode
 //
-// Demo mode records two executions of a racy program (under chaos mode, so
-// their schedules differ), saves both traces, diffs them — showing exactly
+// A saved trace is a spool file of gc-ordered trace items
+// (Session::save_traces, record::save_trace_spool).  Demo mode records two
+// executions of a racy program (under chaos mode, so their schedules
+// differ), saves both traces, diffs them — showing exactly
 // where the interleavings first diverged — and then diffs a record/replay
 // pair to show the identical-traces case.
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "core/session.h"
+#include "record/log_spool.h"
 #include "record/trace_io.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
@@ -58,22 +62,21 @@ int main(int argc, char** argv) {
   }
 
   const char* t = std::getenv("TMPDIR");
-  std::string dir = t ? t : "/tmp";
+  const std::string dir = std::string(t ? t : "/tmp") + "/djvu_trace_diff";
+  std::filesystem::create_directories(dir);
   std::printf("demo: two chaotic recordings of a racy counter\n\n");
 
   auto s1 = racy_app();
   auto rec1 = s1.record(101);
   core::Session::save_traces(rec1, dir);
-  const std::string path1 = dir + "/app.djvutrace";
-  auto trace1 = record::load_trace_from_file(path1);
+  const std::string path1 = dir + "/app.djvuspool";
+  auto trace1 = record::load_spool(path1).trace;
 
   auto s2 = racy_app();
   auto rec2 = s2.record(202);
-  record::TraceFile trace2;
-  trace2.vm_id = rec2.vm("app").vm_id;
-  trace2.records = rec2.vm("app").trace;
-  const std::string path2 = dir + "/app-202.djvutrace";
-  record::save_trace_to_file(trace2, path2);
+  const std::string path2 = dir + "/app-202.djvuspool";
+  record::save_trace_spool({rec2.vm("app").vm_id, rec2.vm("app").trace},
+                           path2);
 
   // The streaming path: both files read in lockstep, abandoned at the
   // first divergence.
@@ -86,9 +89,10 @@ int main(int argc, char** argv) {
   record::TraceFile replay_trace;
   replay_trace.vm_id = rep.vm("app").vm_id;
   replay_trace.records = rep.vm("app").trace;
-  print_diff(record::diff_traces(trace1, replay_trace));
+  const record::TraceDiff replay_diff =
+      record::diff_traces(trace1, replay_trace);
+  print_diff(replay_diff);
 
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
-  return 0;
+  std::filesystem::remove_all(dir);
+  return replay_diff.identical ? 0 : 1;
 }

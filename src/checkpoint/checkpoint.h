@@ -67,8 +67,8 @@ struct CheckpointLog {
                          const CheckpointLog&) = default;
 };
 
-/// Binary round-trip (same conventions as record/serializer: magic,
-/// version, CRC; corrupt input throws LogFormatError).
+/// Binary round-trip (magic, version, CRC; corrupt input throws
+/// LogFormatError).
 Bytes serialize(const CheckpointLog& log);
 CheckpointLog deserialize(BytesView data);
 void save_to_file(const CheckpointLog& log, const std::string& path);

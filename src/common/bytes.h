@@ -3,7 +3,7 @@
 // Used for three purposes:
 //   * the wire payloads of the simulated network (stream meta-data prefixes,
 //     datagram tagging frames, reliable-UDP control frames);
-//   * the on-disk log bundle format (record/serializer.*);
+//   * the on-disk spool format (record/log_spool.*);
 //   * in-memory message assembly in examples and tests.
 //
 // Encoding conventions: little-endian fixed-width integers, LEB128-style
@@ -47,6 +47,16 @@ inline std::uint64_t zigzag_encode(std::int64_t v) {
 
 inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+/// Bytes ByteWriter::varint(v) writes.
+inline std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
 }
 
 /// Serializer that appends primitives to an owned buffer.

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) used to integrity-check every
-// section of the on-disk log bundle (invariant I7) and to hash payloads into
-// the execution trace.
+// chunk of an on-disk spool (invariant I7) and to hash payloads into the
+// execution trace.
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,7 @@
 namespace djvu {
 
 /// Identity of one DJVM instance (one "virtual machine" in the simulated
-/// distributed system).  Assigned during record, persisted in the log bundle
+/// distributed system).  Assigned during record, persisted in the log
 /// and reused verbatim during replay.
 using DjvmId = std::uint32_t;
 

@@ -12,7 +12,6 @@
 #include "record/chrome_trace.h"
 #include "record/log_spool.h"
 #include "record/run_manifest.h"
-#include "record/serializer.h"
 #include "record/trace_io.h"
 #include "sched/divergence.h"
 #include "vm/thread.h"
@@ -155,9 +154,8 @@ RunResult Session::run_spec(const RunSpec& spec) {
             "recording), got " +
             std::to_string(sources));
       }
-      // Every log is resolved here, exactly once per run: in-memory bundles
-      // round-trip through the serializer (replay consumes exactly what a
-      // log file would contain, never in-memory state the file lacks),
+      // Every log is resolved here, exactly once per run: in-memory logs are
+      // shared as copies (a VmLog holds only what its spool file would),
       // disk sources are streamed back once — run_impl shares the loaded
       // logs by pointer instead of re-reading per VM.
       const record::SpoolLoadOptions load_options{
@@ -165,8 +163,7 @@ RunResult Session::run_spec(const RunSpec& spec) {
       std::vector<std::shared_ptr<const record::VmLog>> logs;
       if (spec.logs != nullptr) {
         for (const auto& log : *spec.logs) {
-          logs.push_back(std::make_shared<const record::VmLog>(
-              record::deserialize(record::serialize(log))));
+          logs.push_back(std::make_shared<const record::VmLog>(log));
         }
       } else if (spec.recorded != nullptr) {
         for (const auto& info : spec.recorded->vms) {
@@ -179,8 +176,7 @@ RunResult Session::run_spec(const RunSpec& spec) {
                 record::load_spooled_log(info.spool_path, nullptr,
                                          load_options)));
           } else if (info.log) {
-            logs.push_back(std::make_shared<const record::VmLog>(
-                record::deserialize(record::serialize(*info.log))));
+            logs.push_back(std::make_shared<const record::VmLog>(*info.log));
           }
         }
       } else {
@@ -376,7 +372,7 @@ RunResult Session::run_impl(
     if (cfg.mode == vm::Mode::kReplay) {
       for (const auto& log : *logs) {
         if (log->vm_id == spec.vm_id) {
-          replay_log = log;  // run() already roundtripped/loaded it
+          replay_log = log;  // run() already copied/loaded it
           break;
         }
       }
@@ -436,24 +432,30 @@ RunResult Session::run_impl(
   for (auto& r : running) r.thread.join();
   const auto stop = std::chrono::steady_clock::now();
 
-  // Deterministic failure selection instead of first-exception-wins:
-  // non-divergence errors (usage/setup problems) still win in declaration
-  // order, but when every failure is a replay divergence the per-VM
-  // structured reports are pooled and blame order (sched::precedes —
-  // affirmative causes before waiting victims, then lowest gc) picks the
-  // report that names the root cause, independent of which VM thread
-  // happened to unwind first.
+  // Deterministic failure selection instead of first-exception-wins: when
+  // any VM diverged, the per-VM structured reports are pooled and blame
+  // order (sched::precedes — affirmative causes before waiting victims,
+  // then lowest gc) picks the report that names the root cause, independent
+  // of which VM thread happened to unwind first.  Other errors can be echoes
+  // of a divergence (a peer's "accept on closed listener" once the
+  // diverging VM shut the network down), so they win — in declaration
+  // order — only when no VM diverged.
   bool any_error = false;
-  for (auto& r : running) any_error = any_error || (r.error != nullptr);
+  bool any_divergence = false;
+  for (auto& r : running) {
+    if (!r.error) continue;
+    any_error = true;
+    try {
+      std::rethrow_exception(r.error);
+    } catch (const ReplayDivergenceError&) {
+      any_divergence = true;
+    } catch (...) {
+    }
+  }
   if (any_error) {
-    for (auto& r : running) {
-      if (!r.error) continue;
-      try {
-        std::rethrow_exception(r.error);
-      } catch (const ReplayDivergenceError&) {
-        // Divergences are selected below.
-      } catch (...) {
-        throw;
+    if (!any_divergence) {
+      for (auto& r : running) {
+        if (r.error) std::rethrow_exception(r.error);
       }
     }
     std::vector<sched::DivergenceReport> reports;
@@ -476,6 +478,8 @@ RunResult Session::run_impl(
         rep.cause = e.cause();
         rep.detail = e.what();
         reports.push_back(std::move(rep));
+      } catch (...) {
+        // An echo of the divergence: it contributes no report.
       }
     }
     if (reports.empty()) {
@@ -549,29 +553,29 @@ RunResult Session::run_impl(
 }
 
 void Session::save_logs(const RunResult& recorded, const std::string& dir) {
+  record::RunManifest manifest;
+  manifest.unix_time = static_cast<std::int64_t>(std::time(nullptr));
   for (const auto& info : recorded.vms) {
     if (!info.log) continue;
-    record::save_to_file(*info.log, dir + "/" + info.name + ".djvulog");
+    if (!info.log->causal.empty()) manifest.order_mode = OrderMode::kCausal;
+    const record::RunManifestVm vm{info.vm_id, info.name};
+    record::save_spooled_log(*info.log, vm.spool_path(dir));
+    manifest.vms.push_back(vm);
   }
+  record::save_run_manifest(manifest, dir);
 }
 
 void Session::save_traces(const RunResult& run, const std::string& dir) {
+  record::RunManifest manifest;
+  manifest.unix_time = static_cast<std::int64_t>(std::time(nullptr));
   for (const auto& info : run.vms) {
     if (!info.djvm) continue;
-    record::TraceFile trace;
-    trace.vm_id = info.vm_id;
-    trace.records = info.trace;
-    record::save_trace_to_file(trace, dir + "/" + info.name + ".djvutrace");
+    const record::RunManifestVm vm{info.vm_id, info.name};
+    record::save_trace_spool({info.vm_id, info.trace}, vm.spool_path(dir),
+                             {info.critical_events, info.network_events});
+    manifest.vms.push_back(vm);
   }
-}
-
-std::vector<record::VmLog> Session::load_logs(const std::string& dir) const {
-  std::vector<record::VmLog> logs;
-  for (const auto& spec : specs_) {
-    if (!spec.djvm) continue;
-    logs.push_back(record::load_from_file(dir + "/" + spec.name + ".djvulog"));
-  }
-  return logs;
+  record::save_run_manifest(manifest, dir);
 }
 
 void verify(const RunResult& recorded, const RunResult& replayed) {

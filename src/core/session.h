@@ -71,8 +71,8 @@ struct VmRunInfo {
   /// Trace digest (0 when tracing is off).
   std::uint64_t trace_digest = 0;
 
-  /// Complete log bundle (record runs of DJVMs only; empty when the run
-  /// spooled — the data lives in the file at `spool_path` instead).
+  /// Complete log (record runs of DJVMs only; empty when the run spooled —
+  /// the data lives in the file at `spool_path` instead).
   std::optional<record::VmLog> log;
 
   /// Spool file this VM recorded into ("" when the run kept its log in
@@ -153,7 +153,7 @@ struct RunSpec {
   // --- kReplay log source: set exactly one -------------------------------
   /// A record() result from this process (in-memory or spooled).
   const RunResult* recorded = nullptr;
-  /// Explicit log bundles (e.g. loaded from disk with load_logs).
+  /// Explicit logs (e.g. loaded from disk with record::load_spooled_log).
   const std::vector<record::VmLog>* logs = nullptr;
   /// A spooled recording on disk (streams each file back; tolerates torn
   /// tails by replaying the recovered prefix).
@@ -215,14 +215,16 @@ class Session {
       const std::function<bool(const RunResult&)>& caught,
       int max_attempts = 100, std::uint64_t seed_base = 1);
 
-  /// Saves every DJVM's log bundle under `dir` as <name>.djvulog.
+  /// Saves every in-memory DJVM log of a record run under `dir` (which
+  /// must exist) as a <name>.djvuspool spool file plus the run manifest, so
+  /// replay_from(dir) replays them and the doctor reads them like any
+  /// spooled recording.
   static void save_logs(const RunResult& recorded, const std::string& dir);
 
-  /// Loads log bundles previously saved with save_logs.
-  std::vector<record::VmLog> load_logs(const std::string& dir) const;
-
-  /// Saves every DJVM's execution trace under `dir` as <name>.djvutrace
-  /// (offline diffing; see record/trace_io.h).  Requires keep_trace.
+  /// Saves every DJVM's execution trace under `dir` (which must exist) as
+  /// a <name>.djvuspool of gc-ordered trace items plus the run manifest
+  /// (offline diffing; see record/trace_io.h).  Requires keep_trace.  Use
+  /// a different directory from save_logs: the file names are the same.
   static void save_traces(const RunResult& run, const std::string& dir);
 
   /// The incident bundle sealed by the most recent failed run ("" when no
@@ -251,8 +253,8 @@ class Session {
   std::string incident_spool_dir(const RunSpec& spec) const;
 
   /// `logs` (replay only) are ready to consume as-is: run() has already
-  /// serializer-roundtripped in-memory bundles / loaded each spool exactly
-  /// once, so this layer never re-reads a file or re-serializes a log.
+  /// copied in-memory logs / loaded each spool exactly once, so this layer
+  /// never re-reads a file.
   RunResult run_impl(
       vm::Mode djvm_mode,
       const std::vector<std::shared_ptr<const record::VmLog>>* logs,

@@ -8,16 +8,13 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "record/serializer.h"
 #include "record/spool_codec.h"
 
 namespace djvu::record {
 namespace {
 
 constexpr char kSpoolMagic[8] = {'D', 'J', 'V', 'U', 'S', 'P', 'L', '1'};
-constexpr char kTraceMagic[8] = {'D', 'J', 'V', 'U', 'T', 'R', 'C', '1'};
 constexpr std::uint16_t kSpoolVersion = 1;
-constexpr std::uint16_t kTraceVersion = 1;
 
 /// Queue accounting charge per item beyond its body (deque node, kind,
 /// flags) — keeps the bounded-buffer arithmetic byte-honest.
@@ -33,8 +30,28 @@ constexpr std::size_t kSpoolHeaderBytes = 8 + 2 + 4 + 1;
 /// allocation request (a torn length field can claim anything).
 constexpr std::uint32_t kMaxChunkLen = 64u << 20;
 
-/// Records per synthesized kTrace item when streaming a DJVUTRC1 file.
-constexpr std::size_t kTraceFileBatch = 512;
+/// Records per kTrace item in a saved trace spool (save_trace_spool).
+constexpr std::size_t kTraceSpoolBatch = 512;
+
+// Network entry field presence flags.
+enum : std::uint8_t {
+  kHasError = 1u << 0,
+  kHasConnId = 1u << 1,
+  kHasValue = 1u << 2,
+  kHasDgId = 1u << 3,
+  kHasData = 1u << 4,
+};
+
+/// Rejects an element count that `remaining` body bytes cannot hold at
+/// `min_bytes` each, before anything is reserved for it: a count field in a
+/// garbled item must not turn into an allocation request.
+void check_count(std::uint64_t n, std::size_t remaining, std::size_t min_bytes,
+                 const char* what) {
+  if (n > remaining / min_bytes) {
+    throw LogFormatError(std::string("item count exceeds its body in ") +
+                         what);
+  }
+}
 
 std::uint32_t le32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
@@ -52,6 +69,53 @@ void store_max_relaxed(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
 }  // namespace
 
 // --- item body codecs -------------------------------------------------------
+
+void write_network_entry(ByteWriter& w, const NetworkLogEntry& e) {
+  w.varint(e.event_num);
+  w.u8(static_cast<std::uint8_t>(e.kind));
+  std::uint8_t flags = 0;
+  if (e.error != NetErrorCode::kNone) flags |= kHasError;
+  if (e.conn_id) flags |= kHasConnId;
+  if (e.value) flags |= kHasValue;
+  if (e.dg_id) flags |= kHasDgId;
+  if (e.data) flags |= kHasData;
+  w.u8(flags);
+  if (flags & kHasError) w.u8(static_cast<std::uint8_t>(e.error));
+  if (flags & kHasConnId) {
+    w.varint(e.conn_id->djvm_id)
+        .varint(e.conn_id->thread_num)
+        .varint(e.conn_id->event_num);
+  }
+  if (flags & kHasValue) w.varint(*e.value);
+  if (flags & kHasDgId) {
+    w.varint(e.dg_id->djvm_id).varint(e.dg_id->sender_gc);
+  }
+  if (flags & kHasData) w.bytes(*e.data);
+}
+
+NetworkLogEntry read_network_entry(ByteReader& r) {
+  NetworkLogEntry e;
+  e.event_num = r.varint();
+  e.kind = static_cast<sched::EventKind>(r.u8());
+  std::uint8_t flags = r.u8();
+  if (flags & kHasError) e.error = static_cast<NetErrorCode>(r.u8());
+  if (flags & kHasConnId) {
+    ConnectionId id;
+    id.djvm_id = static_cast<DjvmId>(r.varint());
+    id.thread_num = static_cast<ThreadNum>(r.varint());
+    id.event_num = r.varint();
+    e.conn_id = id;
+  }
+  if (flags & kHasValue) e.value = r.varint();
+  if (flags & kHasDgId) {
+    DgNetworkEventId id;
+    id.djvm_id = static_cast<DjvmId>(r.varint());
+    id.sender_gc = r.varint();
+    e.dg_id = id;
+  }
+  if (flags & kHasData) e.data = r.bytes();
+  return e;
+}
 
 Bytes encode_schedule_item(ThreadNum thread,
                            const sched::IntervalList& intervals) {
@@ -71,6 +135,7 @@ std::pair<ThreadNum, sched::IntervalList> decode_schedule_item(BytesView body) {
   ByteReader r(body);
   const auto thread = static_cast<ThreadNum>(r.varint());
   const std::uint64_t n = r.varint();
+  check_count(n, r.remaining(), 2, "schedule item");
   sched::IntervalList list;
   list.reserve(n);
   GlobalCount prev_end = 0;
@@ -131,6 +196,7 @@ Bytes encode_trace_item(const std::vector<sched::TraceRecord>& records) {
 std::vector<sched::TraceRecord> decode_trace_item(BytesView body) {
   ByteReader r(body);
   const std::uint64_t n = r.varint();
+  check_count(n, r.remaining(), 11, "trace item");
   std::vector<sched::TraceRecord> records;
   records.reserve(n);
   GlobalCount gc = 0;
@@ -181,6 +247,7 @@ std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_item(
   ByteReader r(body);
   const auto thread = static_cast<ThreadNum>(r.varint());
   const std::uint64_t n = r.varint();
+  check_count(n, r.remaining(), 1, "causal item");
   std::vector<std::uint64_t> seqs;
   seqs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) seqs.push_back(r.varint());
@@ -210,6 +277,7 @@ std::pair<ThreadNum, std::vector<std::uint64_t>> decode_causal_delta_item(
   ByteReader r(body);
   const auto thread = static_cast<ThreadNum>(r.varint());
   const std::uint64_t n = r.varint();
+  check_count(n, r.remaining(), 1, "causal item");
   std::vector<std::uint64_t> seqs;
   seqs.reserve(n);
   if (n > 0) {
@@ -832,54 +900,26 @@ LogSource::LogSource(const std::string& path) : path_(path) {
   std::fseek(file_, 0, SEEK_SET);
 
   std::uint8_t header[kSpoolHeaderBytes];
-  if (!read_exact(header, 8)) {
-    std::fclose(file_);
-    file_ = nullptr;
-    throw LogFormatError("file too small to hold a spool/trace header: " +
-                         path);
-  }
-  const bool spool = std::memcmp(header, kSpoolMagic, 8) == 0;
-  const bool trace = std::memcmp(header, kTraceMagic, 8) == 0;
   try {
-    if (!spool && !trace) {
-      throw LogFormatError("bad magic: not a DJVUSPL/DJVUTRC file: " + path);
+    if (!read_exact(header, 8)) {
+      throw LogFormatError("file too small to hold a spool header: " + path);
     }
-    if (!read_exact(header, 2 + 4)) {
+    if (std::memcmp(header, kSpoolMagic, 8) != 0) {
+      throw LogFormatError("bad magic: not a DJVUSPL file: " + path);
+    }
+    if (!read_exact(header + 8, kSpoolHeaderBytes - 8)) {
       throw LogFormatError("torn header in " + path);
     }
     const std::uint16_t version =
-        static_cast<std::uint16_t>(header[0] | (header[1] << 8));
-    vm_id_ = le32(header + 2);
-    if (spool) {
-      if (version != kSpoolVersion) {
-        throw LogFormatError("unsupported spool version " +
-                             std::to_string(version));
-      }
-      std::uint8_t flags;
-      if (!read_exact(&flags, 1)) {
-        throw LogFormatError("torn header in " + path);
-      }
-      compressed_ = (flags & 1) != 0;
-      // Seed the whole-file CRC with the header exactly as it lies on disk
-      // (the magic compared equal, so the constant is the file's bytes).
-      stream_crc_.update(
-          BytesView(reinterpret_cast<const std::uint8_t*>(kSpoolMagic), 8));
-      stream_crc_.update(BytesView(header, 2 + 4));
-      stream_crc_.update(BytesView(&flags, 1));
-    } else {
-      trace_backend_ = true;
-      if (version != kTraceVersion) {
-        throw LogFormatError("unsupported trace version " +
-                             std::to_string(version));
-      }
-      // Everything from here to the 4-byte trailer feeds the stream CRC
-      // (via read_exact), so the trailer can be verified at end of stream.
-      stream_crc_.update(
-          BytesView(reinterpret_cast<const std::uint8_t*>(kTraceMagic), 8));
-      stream_crc_.update(BytesView(header, 2 + 4));
-      hash_reads_ = true;
-      trace_remaining_ = read_varint();
+        static_cast<std::uint16_t>(header[8] | (header[9] << 8));
+    if (version != kSpoolVersion) {
+      throw LogFormatError("unsupported spool version " +
+                           std::to_string(version));
     }
+    vm_id_ = le32(header + 10);
+    compressed_ = (header[14] & 1) != 0;
+    // Seed the whole-file CRC with the header exactly as it lies on disk.
+    stream_crc_.update(BytesView(header, kSpoolHeaderBytes));
   } catch (...) {
     std::fclose(file_);
     file_ = nullptr;
@@ -892,31 +932,10 @@ LogSource::~LogSource() {
 }
 
 bool LogSource::read_exact(std::uint8_t* out, std::size_t n) {
-  if (std::fread(out, 1, n, file_) != n) return false;
-  if (hash_reads_) stream_crc_.update(BytesView(out, n));
-  return true;
-}
-
-std::uint64_t LogSource::read_varint() {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    std::uint8_t b;
-    if (!read_exact(&b, 1)) {
-      throw LogFormatError("truncated varint in " + path_);
-    }
-    v |= std::uint64_t{b & 0x7f} << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  throw LogFormatError("overlong varint in " + path_);
-}
-
-std::optional<SpoolItem> LogSource::next() {
-  if (done_) return std::nullopt;
-  return trace_backend_ ? next_trace_item() : next_spool_item();
+  return std::fread(out, 1, n, file_) == n;
 }
 
 const SpoolIndex* LogSource::index() {
-  if (trace_backend_) return nullptr;
   if (!tried_footer_ && !index_) {
     tried_footer_ = true;
     index_ = read_spool_footer(file_, file_size_);
@@ -931,9 +950,6 @@ const SpoolIndex* LogSource::ensure_index() {
 }
 
 bool LogSource::seek_to_gc(GlobalCount gc) {
-  if (trace_backend_) {
-    throw UsageError("seek_to_gc: trace files are not seekable");
-  }
   const SpoolIndex* idx = ensure_index();
   const std::optional<std::size_t> chunk = idx->chunk_covering(gc);
   if (!chunk) {
@@ -947,9 +963,6 @@ bool LogSource::seek_to_gc(GlobalCount gc) {
 }
 
 void LogSource::seek_to_chunk(std::size_t i) {
-  if (trace_backend_) {
-    throw UsageError("seek_to_chunk: trace files are not seekable");
-  }
   const SpoolIndex* idx = ensure_index();
   if (i >= idx->chunks.size()) {
     throw UsageError("seek_to_chunk: chunk " + std::to_string(i) +
@@ -990,7 +1003,15 @@ bool LogSource::read_chunk() {
   const std::uint32_t len = le32(frame);
   const std::uint8_t codec = frame[4];
   const std::uint32_t crc = le32(frame + 5);
-  if (len > kMaxChunkLen) {  // a torn length field can claim anything
+  // A torn length field can claim anything: one reaching past the end of
+  // the file is a torn tail, never an allocation request.
+  if (len > kMaxChunkLen || len > file_size_ - start - kChunkFrameBytes) {
+    torn();
+    return false;
+  }
+  // The codec byte lies outside the chunk CRC: an uncompressed spool holds
+  // only raw chunks, so any other codec there is a torn frame as well.
+  if (!compressed_ && codec != static_cast<std::uint8_t>(SpoolCodec::kRaw)) {
     torn();
     return false;
   }
@@ -1026,7 +1047,8 @@ bool LogSource::read_chunk() {
   return true;
 }
 
-std::optional<SpoolItem> LogSource::next_spool_item() {
+std::optional<SpoolItem> LogSource::next() {
+  if (done_) return std::nullopt;
   for (;;) {
     if (chunk_pos_ >= chunk_.size()) {
       if (!read_chunk()) {
@@ -1069,50 +1091,6 @@ std::optional<SpoolItem> LogSource::next_spool_item() {
   }
 }
 
-std::optional<SpoolItem> LogSource::next_trace_item() {
-  if (trace_remaining_ == 0) {
-    // All declared records streamed: verify the trailing CRC against the
-    // running stream CRC (everything since the magic fed it).  A reader
-    // that exits early still skips the check — that is the documented
-    // streaming trade — but one that consumes the stream gets the same
-    // integrity guarantee as load_trace_from_file.
-    hash_reads_ = false;
-    std::uint8_t trailer[4];
-    if (!read_exact(trailer, 4)) {
-      throw LogFormatError("truncated trace CRC trailer in " + path_);
-    }
-    if (le32(trailer) != stream_crc_.value()) {
-      throw LogFormatError("trace file CRC mismatch in " + path_);
-    }
-    done_ = true;
-    clean_end_ = true;
-    return std::nullopt;
-  }
-  std::vector<sched::TraceRecord> batch;
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(trace_remaining_,
-                                                       kTraceFileBatch));
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sched::TraceRecord rec;
-    trace_prev_gc_ += read_varint();
-    rec.gc = trace_prev_gc_;
-    rec.thread = static_cast<ThreadNum>(read_varint());
-    std::uint8_t kind_and_aux[9];
-    if (!read_exact(kind_and_aux, 9)) {
-      throw LogFormatError("truncated trace record in " + path_);
-    }
-    rec.kind = static_cast<sched::EventKind>(kind_and_aux[0]);
-    rec.aux = 0;
-    for (int b = 0; b < 8; ++b) {
-      rec.aux |= std::uint64_t{kind_and_aux[1 + b]} << (8 * b);
-    }
-    batch.push_back(rec);
-  }
-  trace_remaining_ -= n;
-  return SpoolItem{SpoolItemKind::kTrace, encode_trace_item(batch)};
-}
-
 // --- TraceRecordStream ------------------------------------------------------
 
 std::optional<sched::TraceRecord> TraceRecordStream::next() {
@@ -1130,27 +1108,61 @@ std::optional<sched::TraceRecord> TraceRecordStream::next() {
 
 namespace {
 
-void append_causal(VmLog& log, ThreadNum thread,
-                   const std::vector<std::uint64_t>& seqs) {
-  auto& per_thread = log.causal.per_thread;
-  if (per_thread.size() <= thread) per_thread.resize(thread + 1);
-  auto& dst = per_thread[thread];
-  // Same FIFO argument as schedule batches: one thread's causal batches
-  // arrive in program order, so appending reconstructs its seq list.
-  dst.insert(dst.end(), seqs.begin(), seqs.end());
-}
+/// Folds decoded items into a VmLog; both load paths share it, so they
+/// rebuild the same log.  Thread numbers index per-thread vectors, so a
+/// garbled one must not become a resize request: a file of N bytes is taken
+/// to hold fewer than N threads (every VmThread is an OS thread, so real
+/// recordings stay far below that).
+class LogFold {
+ public:
+  LogFold(VmLog& log, std::uint64_t file_size)
+      : log_(log), thread_limit_(file_size) {}
 
-void fold_item(const SpoolItem& item, VmLog& log, TraceFile* trace) {
+  void schedule(ThreadNum thread, const sched::IntervalList& list) {
+    // Batches of one thread arrive in schedule order (drained by the owning
+    // thread through a FIFO channel), so appending reconstructs the
+    // recorder's list exactly.
+    auto& dst = slot(log_.schedule.per_thread, thread);
+    dst.insert(dst.end(), list.begin(), list.end());
+  }
+
+  void causal(ThreadNum thread, const std::vector<std::uint64_t>& seqs) {
+    // Same FIFO argument: one thread's causal batches arrive in program
+    // order, so appending reconstructs its seq list.
+    auto& dst = slot(log_.causal.per_thread, thread);
+    dst.insert(dst.end(), seqs.begin(), seqs.end());
+  }
+
+  void finish(const SpoolFinish& finish) {
+    log_.stats = finish.stats;
+    if (finish.thread_count == 0) return;
+    slot(log_.schedule.per_thread, finish.thread_count - 1);
+    if (!log_.causal.per_thread.empty()) {
+      slot(log_.causal.per_thread, finish.thread_count - 1);
+    }
+  }
+
+ private:
+  template <class List>
+  List& slot(std::vector<List>& per_thread, std::uint64_t thread) {
+    if (thread >= thread_limit_) {
+      throw LogFormatError("spool thread number " + std::to_string(thread) +
+                           " exceeds what the file can hold");
+    }
+    if (per_thread.size() <= thread) per_thread.resize(thread + 1);
+    return per_thread[thread];
+  }
+
+  VmLog& log_;
+  std::uint64_t thread_limit_;
+};
+
+void fold_item(const SpoolItem& item, LogFold& fold, VmLog& log,
+               TraceFile* trace) {
   switch (item.kind) {
     case SpoolItemKind::kSchedule: {
       auto [thread, list] = decode_schedule_item(item.body);
-      auto& per_thread = log.schedule.per_thread;
-      if (per_thread.size() <= thread) per_thread.resize(thread + 1);
-      auto& dst = per_thread[thread];
-      // Batches of one thread arrive in schedule order (drained by the
-      // owning thread through a FIFO channel), so appending reconstructs
-      // the recorder's list exactly.
-      dst.insert(dst.end(), list.begin(), list.end());
+      fold.schedule(thread, list);
       break;
     }
     case SpoolItemKind::kNetwork: {
@@ -1167,26 +1179,17 @@ void fold_item(const SpoolItem& item, VmLog& log, TraceFile* trace) {
     }
     case SpoolItemKind::kCausal: {
       auto [thread, seqs] = decode_causal_item(item.body);
-      append_causal(log, thread, seqs);
+      fold.causal(thread, seqs);
       break;
     }
     case SpoolItemKind::kCausalDelta: {
       auto [thread, seqs] = decode_causal_delta_item(item.body);
-      append_causal(log, thread, seqs);
+      fold.causal(thread, seqs);
       break;
     }
-    case SpoolItemKind::kFinish: {
-      const SpoolFinish finish = decode_finish_item(item.body);
-      log.stats = finish.stats;
-      if (log.schedule.per_thread.size() < finish.thread_count) {
-        log.schedule.per_thread.resize(finish.thread_count);
-      }
-      if (!log.causal.per_thread.empty() &&
-          log.causal.per_thread.size() < finish.thread_count) {
-        log.causal.per_thread.resize(finish.thread_count);
-      }
+    case SpoolItemKind::kFinish:
+      fold.finish(decode_finish_item(item.body));
       break;
-    }
     case SpoolItemKind::kAnchor:
       // Checkpoint anchors position the tail for Checkpointer-based resume
       // (read_spool_anchors); the VmLog itself carries no anchor state.
@@ -1322,6 +1325,7 @@ std::optional<VmLog> try_parallel_load(const std::string& path,
   std::optional<SpoolIndex> index;
   std::uint32_t header_crc = 0;
   DjvmId vm_id = 0;
+  std::uint64_t file_size = 0;
   bool usable = false;
   do {
     if (std::fread(header, 1, sizeof header, probe) != sizeof header) break;
@@ -1331,8 +1335,8 @@ std::optional<VmLog> try_parallel_load(const std::string& path,
     if (version != kSpoolVersion) break;
     vm_id = le32(header + 10);
     std::fseek(probe, 0, SEEK_END);
-    index = read_spool_footer(
-        probe, static_cast<std::uint64_t>(std::ftell(probe)));
+    file_size = static_cast<std::uint64_t>(std::ftell(probe));
+    index = read_spool_footer(probe, file_size);
     if (!index || index->chunks.empty()) break;
     header_crc = crc32(BytesView(header, sizeof header));
     usable = true;
@@ -1389,13 +1393,9 @@ std::optional<VmLog> try_parallel_load(const std::string& path,
 
   VmLog log;
   log.vm_id = vm_id;
+  LogFold log_fold(log, file_size);
   for (ChunkFold& fold : folds) {
-    for (auto& [thread, list] : fold.schedule) {
-      auto& per_thread = log.schedule.per_thread;
-      if (per_thread.size() <= thread) per_thread.resize(thread + 1);
-      auto& dst = per_thread[thread];
-      dst.insert(dst.end(), list.begin(), list.end());
-    }
+    for (auto& [thread, list] : fold.schedule) log_fold.schedule(thread, list);
     for (auto& [thread, entry] : fold.network) {
       log.network.append(thread, std::move(entry));
     }
@@ -1403,19 +1403,9 @@ std::optional<VmLog> try_parallel_load(const std::string& path,
       trace->records.insert(trace->records.end(), fold.trace.begin(),
                             fold.trace.end());
     }
-    for (auto& [thread, seqs] : fold.causal) {
-      append_causal(log, thread, seqs);
-    }
+    for (auto& [thread, seqs] : fold.causal) log_fold.causal(thread, seqs);
   }
-  const SpoolFinish& finish = *folds[n - 1].finish;
-  log.stats = finish.stats;
-  if (log.schedule.per_thread.size() < finish.thread_count) {
-    log.schedule.per_thread.resize(finish.thread_count);
-  }
-  if (!log.causal.per_thread.empty() &&
-      log.causal.per_thread.size() < finish.thread_count) {
-    log.causal.per_thread.resize(finish.thread_count);
-  }
+  log_fold.finish(*folds[n - 1].finish);
   return log;
 }
 
@@ -1438,14 +1428,11 @@ VmLog stream_spool(const std::string& path, TraceFile* trace, bool* clean_end,
     }
   }
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw LogFormatError("expected a DJVUSPL spool file, got a trace file: " +
-                         path);
-  }
   VmLog log;
   log.vm_id = source.vm_id();
+  LogFold fold(log, source.file_size());
   while (std::optional<SpoolItem> item = source.next()) {
-    fold_item(*item, log, trace);
+    fold_item(*item, fold, log, trace);
   }
   if (!source.clean_end()) {
     // Recovered prefix: no finish item.  The intervals are the exact set of
@@ -1478,11 +1465,62 @@ VmLog load_spooled_log(const std::string& path, bool* clean_end,
   return stream_spool(path, nullptr, clean_end, nullptr, options);
 }
 
+SpoolStats save_spooled_log(const VmLog& log, const std::string& path) {
+  LogSpooler spooler(log.vm_id, {.path = path});
+  for (ThreadNum t = 0; t < log.schedule.per_thread.size(); ++t) {
+    spooler.schedule_batch(t, log.schedule.per_thread[t]);
+  }
+  log.network.for_each([&](ThreadNum t, const NetworkLogEntry& e) {
+    spooler.network_entry(t, e);
+  });
+  for (ThreadNum t = 0; t < log.causal.per_thread.size(); ++t) {
+    spooler.causal_batch(t, log.causal.per_thread[t]);
+  }
+  spooler.finish(log.stats,
+                 static_cast<std::uint32_t>(log.schedule.per_thread.size()));
+  spooler.close();
+  return spooler.stats();
+}
+
+void save_trace_spool(const TraceFile& trace, const std::string& path,
+                      const RecordStats& stats) {
+  LogSpooler spooler(trace.vm_id, {.path = path});
+  for (std::size_t i = 0; i < trace.records.size(); i += kTraceSpoolBatch) {
+    const auto first = trace.records.begin() + static_cast<std::ptrdiff_t>(i);
+    const std::size_t n = std::min(kTraceSpoolBatch, trace.records.size() - i);
+    spooler.trace_batch({first, first + static_cast<std::ptrdiff_t>(n)});
+  }
+  spooler.finish(stats, 0);
+  spooler.close();
+}
+
+std::uint64_t spool_item_bytes(const VmLog& log) {
+  // Mirrors save_spooled_log item for item (a test holds the two equal).
+  std::uint64_t total = 0;
+  const auto add = [&total](const Bytes& body) {
+    total += 1 + varint_size(body.size()) + body.size();
+  };
+  for (ThreadNum t = 0; t < log.schedule.per_thread.size(); ++t) {
+    if (!log.schedule.per_thread[t].empty()) {
+      add(encode_schedule_item(t, log.schedule.per_thread[t]));
+    }
+  }
+  log.network.for_each([&](ThreadNum t, const NetworkLogEntry& e) {
+    add(encode_network_item(t, e));
+  });
+  for (ThreadNum t = 0; t < log.causal.per_thread.size(); ++t) {
+    if (!log.causal.per_thread[t].empty()) {
+      add(encode_causal_delta_item(t, log.causal.per_thread[t]));
+    }
+  }
+  add(encode_finish_item(
+      {log.stats,
+       static_cast<std::uint32_t>(log.schedule.per_thread.size())}));
+  return total;
+}
+
 SpoolIndex build_spool_index(const std::string& path) {
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw UsageError("build_spool_index: not a spool file: " + path);
-  }
   SpoolIndex index;
   std::map<ThreadNum, SpoolThreadCounts> threads;
   const auto close_chunk = [&] {
@@ -1652,9 +1690,6 @@ FlightTailInfo assemble_flight_tail(const std::string& spool_path) {
 
 std::vector<SpoolAnchor> read_spool_anchors(const std::string& path) {
   LogSource source(path);
-  if (source.is_trace_file()) {
-    throw UsageError("read_spool_anchors: not a spool file: " + path);
-  }
   std::vector<SpoolAnchor> anchors;
   while (std::optional<SpoolItem> item = source.next()) {
     if (item->kind == SpoolItemKind::kAnchor) {

@@ -9,7 +9,12 @@
 // chunks and appends them to one spool file per recording VM, flushing
 // chunk by chunk.  Replay streams the file back through LogSource into the
 // existing IntervalCursor / network-log machinery without ever
-// materializing the serialized bundle or the trace.
+// materializing the trace.
+//
+// DJVUSPL1 is the one on-disk log format: a recording spools straight into
+// it, and Session::save_logs / save_traces write in-memory logs and traces
+// through the same spooler (save_spooled_log, save_trace_spool), so every
+// loader and the doctor read one format.
 //
 // One producer path feeds the writer: a mutex/condvar queue bounded in
 // bytes (Options::buffer_bytes).  A recording thread hands over a batch by
@@ -28,11 +33,10 @@
 //          := item*
 //   item   := kind u8 | body_len varint | body
 //
-// Item bodies reuse the conventions of record/serializer.cc and
-// record/trace_io.cc: delta-varint interval pairs, the shared network-entry
-// encoding, delta-varint trace records.  Every chunk is independently
-// decodable (deltas restart per item), so a reader needs only one chunk in
-// memory at a time.
+// Item bodies: delta-varint interval pairs, the network-entry encoding
+// (write_network_entry), delta-varint trace records.  Every chunk is
+// independently decodable (deltas restart per item), so a reader needs only
+// one chunk in memory at a time.
 //
 // Crash consistency (recover-to-prefix): the CRC makes each chunk
 // self-certifying, and the writer flushes after sealing each chunk, so a
@@ -94,7 +98,7 @@ enum class SpoolItemKind : std::uint8_t {
   kAnchor = 7,
 };
 
-/// One decoded item streamed out of a spool (or trace) file.
+/// One decoded item streamed out of a spool file.
 struct SpoolItem {
   SpoolItemKind kind = SpoolItemKind::kTrace;
   Bytes body;
@@ -119,6 +123,11 @@ struct SpoolAnchor {
 
   friend bool operator==(const SpoolAnchor&, const SpoolAnchor&) = default;
 };
+
+/// Encodes / decodes one network log entry (event_num, kind, flags, typed
+/// fields): the body of a kNetwork item after its thread number.
+void write_network_entry(ByteWriter& w, const NetworkLogEntry& e);
+NetworkLogEntry read_network_entry(ByteReader& r);
 
 // Item body codecs (shared by the spooler, LogSource, and tests).  Schedule
 // and trace bodies delta-encode within the batch, starting absolute, so
@@ -424,13 +433,9 @@ class LogSpooler {
   std::thread writer_;
 };
 
-/// Streaming reader over recorded artifacts.  Opens either a DJVUSPL1
-/// spool file (items stream chunk by chunk; a torn tail is truncated to
-/// the last valid chunk — recover-to-prefix) or a DJVUTRC1 trace file
-/// (records stream as synthesized kTrace items; structure is validated
-/// per record, but the whole-file CRC is *not* checked — the price of
-/// early exit; use load_trace_from_file when integrity matters more than
-/// streaming).  At most one chunk / record batch is resident at a time.
+/// Streaming reader over a DJVUSPL1 spool file: items stream chunk by
+/// chunk, and a torn tail is truncated to the last valid chunk
+/// (recover-to-prefix).  At most one chunk is resident at a time.
 class LogSource {
  public:
   explicit LogSource(const std::string& path);
@@ -440,8 +445,8 @@ class LogSource {
 
   DjvmId vm_id() const { return vm_id_; }
 
-  /// True when the underlying file is a DJVUTRC1 trace file.
-  bool is_trace_file() const { return trace_backend_; }
+  /// Size of the file in bytes (bounds what a load may allocate).
+  std::uint64_t file_size() const { return file_size_; }
 
   /// The next item, or nullopt at end of stream.  Mid-stream corruption
   /// that a chunk CRC certifies against (a writer bug, version skew) still
@@ -449,8 +454,7 @@ class LogSource {
   std::optional<SpoolItem> next();
 
   /// After next() returned nullopt: true when the stream ended with a
-  /// finish item (spool) / all declared records (trace file); false when a
-  /// torn tail was dropped.
+  /// finish item; false when a torn tail was dropped.
   bool clean_end() const { return clean_end_; }
 
   /// Bytes dropped from a torn tail (0 on a clean end).  The index footer
@@ -459,7 +463,7 @@ class LogSource {
   std::uint64_t truncated_bytes() const { return truncated_bytes_; }
 
   /// The spool's index footer, lazily read from the end of the file:
-  /// nullptr for trace files, pre-index spools, and torn footers (callers
+  /// nullptr for pre-index spools and torn footers (callers
   /// then fall back to sequential scans, or to build_spool_index when they
   /// genuinely need an index).  Restores the stream position, so it is
   /// safe to call mid-stream.
@@ -471,7 +475,7 @@ class LogSource {
   /// footer, one sequential index-rebuilding scan without.  Returns false
   /// (stream at end) when gc lies beyond the recording.  After a seek the
   /// whole-file CRC check is disabled (the stream no longer covers every
-  /// byte) and truncated_bytes resets.  Spool backend only.
+  /// byte) and truncated_bytes resets.
   bool seek_to_gc(GlobalCount gc);
 
   /// Repositions the stream at chunk `i` of the index.  Same semantics and
@@ -490,13 +494,10 @@ class LogSource {
   }
 
  private:
-  std::optional<SpoolItem> next_spool_item();
-  std::optional<SpoolItem> next_trace_item();
   /// Reads and verifies the next chunk into chunk_/chunk_pos_; false at
   /// end of file, torn tail (sets truncated_bytes_), or index footer.
   bool read_chunk();
   bool read_exact(std::uint8_t* out, std::size_t n);
-  std::uint64_t read_varint();
   /// Ensures index_ holds something: the footer if present, else a
   /// sequential index-rebuilding scan of the file (seek support for
   /// pre-index and torn-footer spools).
@@ -505,18 +506,17 @@ class LogSource {
   std::FILE* file_ = nullptr;
   std::string path_;
   DjvmId vm_id_ = 0;
-  bool trace_backend_ = false;
   bool compressed_ = false;
   bool done_ = false;
   bool clean_end_ = false;
   std::uint64_t truncated_bytes_ = 0;
   std::uint64_t file_size_ = 0;
 
-  // Spool backend: current decoded chunk payload.
+  // Current decoded chunk payload.
   Bytes chunk_;
   std::size_t chunk_pos_ = 0;
 
-  // Spool backend: current chunk frame facts + running stream state for
+  // Current chunk frame facts + running stream state for
   // the whole-file CRC (fed the header and every accepted chunk's frame +
   // stored payload; checked against the footer at a clean, unseeked end).
   std::size_t chunks_read_ = 0;
@@ -531,12 +531,6 @@ class LogSource {
   // one-time footer pread.
   std::optional<SpoolIndex> index_;
   bool tried_footer_ = false;
-
-  // Trace backend: records not yet yielded; hash_reads_ makes read_exact
-  // feed stream_crc_ so the trailing CRC can be verified at end of stream.
-  std::uint64_t trace_remaining_ = 0;
-  GlobalCount trace_prev_gc_ = 0;
-  bool hash_reads_ = false;
 };
 
 /// Pull adapter yielding individual trace records from a LogSource
@@ -589,6 +583,25 @@ SpoolContents load_spool(const std::string& path,
 /// *clean_end when non-null.
 VmLog load_spooled_log(const std::string& path, bool* clean_end = nullptr,
                        const SpoolLoadOptions& options = {});
+
+/// Writes `log` as an indexed, finish-marked DJVUSPL1 spool at `path`
+/// through LogSpooler: one schedule item per thread, one network item per
+/// entry, one causal item per thread, then the finish item.
+/// load_spooled_log(path) == log.  Returns the spooler's stats (raw_bytes
+/// == spool_item_bytes(log)).  Throws Error on I/O failure.
+SpoolStats save_spooled_log(const VmLog& log, const std::string& path);
+
+/// Writes a gc-sorted trace as a DJVUSPL1 spool of kTrace items (no
+/// schedule, finish stats `stats`), streamable by diff_trace_files and
+/// loaded back by load_spool(path).trace.
+void save_trace_spool(const TraceFile& trace, const std::string& path,
+                      const RecordStats& stats = {});
+
+/// The "log size" of Tables 1 and 2: the bytes of the spool items
+/// save_spooled_log writes for `log` (kind, length and body of each item;
+/// no file header, chunk frames or index footer, so it measures recorded
+/// information).  Encodes one item at a time and never copies the log.
+std::uint64_t spool_item_bytes(const VmLog& log);
 
 /// Rebuilds a SpoolIndex by sequentially scanning (and decoding) `path` —
 /// the fallback that keeps seek_to_gc available for pre-index spools and

@@ -3,21 +3,9 @@
 #include <limits>
 
 #include "common/strutil.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 
 namespace djvu::record {
-namespace {
-
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
 
 LogStats compute_stats(const VmLog& log) {
   LogStats s;
@@ -57,7 +45,7 @@ LogStats compute_stats(const VmLog& log) {
       if (e.error != NetErrorCode::kNone) ++s.exception_entries;
     }
   }
-  s.serialized_bytes = serialize(log).size();
+  s.serialized_bytes = spool_item_bytes(log);
   return s;
 }
 

@@ -1,4 +1,4 @@
-// Descriptive statistics over a recorded log bundle.
+// Descriptive statistics over a recorded log.
 //
 // Quantifies the paper's efficiency narrative on real recordings: how many
 // critical events each schedule interval encodes ("we have found it typical
@@ -38,17 +38,19 @@ struct LogStats {
   std::size_t exception_entries = 0;
 
   // Byte budget.
+  /// The spool item bytes of the log (record::spool_item_bytes): the
+  /// Tables 1–2 "log size".
   std::size_t serialized_bytes = 0;
   std::size_t schedule_bytes = 0;  // the delta-varint interval encoding
 
   // Scheduler self-measurements of the run that produced (or replayed)
-  // the log.  Not part of the log bundle itself — supplied by the caller
+  // the log.  Not part of the log itself — supplied by the caller
   // from Vm::sched_stats() / VmRunInfo::sched when available.
   bool has_sched = false;
   sched::SchedStats sched{};
 };
 
-/// Computes statistics for one log bundle.
+/// Computes statistics for one log.
 LogStats compute_stats(const VmLog& log);
 
 /// Same, attaching a scheduler snapshot from the run (rendered by to_text).

@@ -21,8 +21,13 @@ class NetworkLog {
  public:
   NetworkLog() = default;
 
-  /// Movable so VmLog bundles can be returned by value.  Moving is only
-  /// safe while no other thread touches either log (load/save time).
+  /// Copyable and movable so VmLogs can be returned and shared by value.
+  /// Only safe while no other thread touches either log (load/save time).
+  NetworkLog(const NetworkLog& other) : per_thread_(other.per_thread_) {}
+  NetworkLog& operator=(const NetworkLog& other) {
+    per_thread_ = other.per_thread_;
+    return *this;
+  }
   NetworkLog(NetworkLog&& other) noexcept
       : per_thread_(std::move(other.per_thread_)) {}
   NetworkLog& operator=(NetworkLog&& other) noexcept {
@@ -41,14 +46,24 @@ class NetworkLog {
   /// All entries of one thread in event order (text export, tests).
   std::vector<NetworkLogEntry> thread_entries(ThreadNum thread) const;
 
+  /// Calls f(thread, entry) for every entry, by thread then event order,
+  /// without copying entries (log size, spool export).  Holds the log's
+  /// lock throughout, so f must not call back into this log.
+  template <class F>
+  void for_each(F&& f) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [thread, entries] : per_thread_) {
+      for (const auto& [num, entry] : entries) f(thread, entry);
+    }
+  }
+
   /// Threads that have at least one entry.
   std::vector<ThreadNum> threads() const;
 
   /// Total number of entries.
   std::size_t size() const;
 
-  /// Serialized size lower bound is exercised through serializer.cc; this
-  /// counts the bytes of recorded open-world content (log size analysis).
+  /// Bytes of recorded open-world content (log size analysis).
   std::size_t content_bytes() const;
 
   friend bool operator==(const NetworkLog& a, const NetworkLog& b) {

@@ -63,6 +63,12 @@ Bytes spool_compress(BytesView raw) {
 Bytes spool_decompress(BytesView compressed) {
   ByteReader r(compressed);
   const std::uint64_t raw_size = r.varint();
+  // Every token is at least two bytes per kMaxMatch output bytes, so a
+  // larger declared size is corrupt, not a reservation to honour.
+  if (raw_size / kMaxMatch > compressed.size() / 2 + 1) {
+    throw LogFormatError("spool codec: declared size exceeds what the input "
+                         "can expand to");
+  }
   Bytes out;
   out.reserve(raw_size);
   while (!r.at_end()) {
@@ -72,7 +78,7 @@ Bytes spool_decompress(BytesView compressed) {
       Bytes lit = r.raw(run);
       out.insert(out.end(), lit.begin(), lit.end());
     } else {
-      const std::size_t len = std::size_t{c & 0x7f} + kMinMatch;
+      const std::size_t len = static_cast<std::size_t>(c & 0x7f) + kMinMatch;
       const std::uint64_t dist = r.varint();
       if (dist == 0 || dist > out.size()) {
         throw LogFormatError("spool codec: back-reference outside output");

@@ -1,6 +1,7 @@
 // Human-readable rendering of a VmLog (debugging aid and the
 // `replay_inspector` example).  The format is stable enough to grep but is
-// not a parseable interchange format — the binary serializer is.
+// not a parseable interchange format — the spool file (record/log_spool.h)
+// is.
 #pragma once
 
 #include <string>
@@ -9,7 +10,7 @@
 
 namespace djvu::record {
 
-/// Multi-line textual dump of a complete log bundle.
+/// Multi-line textual dump of a complete log.
 std::string to_text(const VmLog& log);
 
 /// One-line rendering of a single network log entry.

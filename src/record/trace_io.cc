@@ -1,99 +1,13 @@
 #include "record/trace_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
-#include <memory>
 #include <optional>
 
-#include "common/crc32.h"
 #include "common/strutil.h"
 #include "record/log_spool.h"
 
 namespace djvu::record {
-namespace {
-
-constexpr char kMagic[8] = {'D', 'J', 'V', 'U', 'T', 'R', 'C', '1'};
-constexpr std::uint16_t kVersion = 1;
-
-}  // namespace
-
-Bytes serialize_trace(const TraceFile& trace) {
-  ByteWriter w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kMagic), 8));
-  w.u16(kVersion);
-  w.u32(trace.vm_id);
-  w.varint(trace.records.size());
-  GlobalCount prev = 0;
-  for (const sched::TraceRecord& r : trace.records) {
-    w.varint(r.gc - prev);  // gc is non-decreasing in a sorted trace
-    prev = r.gc;
-    w.varint(r.thread);
-    w.u8(static_cast<std::uint8_t>(r.kind));
-    w.u64(r.aux);
-  }
-  w.u32(crc32(w.view()));
-  return w.take();
-}
-
-TraceFile deserialize_trace(BytesView data) {
-  if (data.size() < 8 + 2 + 4 + 4) {
-    throw LogFormatError("trace file too small");
-  }
-  BytesView body = data.first(data.size() - 4);
-  ByteReader crc_reader(data.subspan(data.size() - 4));
-  if (crc32(body) != crc_reader.u32()) {
-    throw LogFormatError("trace file CRC mismatch: file is corrupt");
-  }
-  ByteReader r(body);
-  Bytes magic = r.raw(8);
-  if (!std::equal(magic.begin(), magic.end(),
-                  reinterpret_cast<const std::uint8_t*>(kMagic))) {
-    throw LogFormatError("bad magic: not a DJVUTRC file");
-  }
-  if (std::uint16_t v = r.u16(); v != kVersion) {
-    throw LogFormatError("unsupported trace version " + std::to_string(v));
-  }
-  TraceFile trace;
-  trace.vm_id = r.u32();
-  std::uint64_t n = r.varint();
-  trace.records.reserve(n);
-  GlobalCount gc = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sched::TraceRecord rec;
-    gc += r.varint();
-    rec.gc = gc;
-    rec.thread = static_cast<ThreadNum>(r.varint());
-    rec.kind = static_cast<sched::EventKind>(r.u8());
-    rec.aux = r.u64();
-    trace.records.push_back(rec);
-  }
-  if (!r.at_end()) throw LogFormatError("trailing garbage in trace file");
-  return trace;
-}
-
-void save_trace_to_file(const TraceFile& trace, const std::string& path) {
-  Bytes data = serialize_trace(trace);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for writing");
-  if (std::fwrite(data.data(), 1, data.size(), f.get()) != data.size()) {
-    throw Error("short write to " + path);
-  }
-}
-
-TraceFile load_trace_from_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!f) throw Error("cannot open " + path + " for reading");
-  Bytes data;
-  std::uint8_t buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    data.insert(data.end(), buf, buf + n);
-  }
-  return deserialize_trace(data);
-}
 
 std::string to_text(const sched::TraceRecord& r) {
   return str_format("gc=%llu t%u %-14s aux=%016llx",
@@ -148,12 +62,10 @@ TraceDiff diff_trace_files(const std::string& path_a,
   LogSource source_a(path_a);
   LogSource source_b(path_b);
   if (start_gc > 0) {
-    // Spool inputs jump to the covering chunk through the index (footer or
-    // rebuilt); trace files cannot seek and are skipped forward by the gc
-    // filter below.  seek_to_gc returning false just means an empty
-    // restricted stream.
-    if (!source_a.is_trace_file()) source_a.seek_to_gc(start_gc);
-    if (!source_b.is_trace_file()) source_b.seek_to_gc(start_gc);
+    // Jump to the covering chunk through the index (footer or rebuilt);
+    // seek_to_gc returning false just means an empty restricted stream.
+    source_a.seek_to_gc(start_gc);
+    source_b.seek_to_gc(start_gc);
   }
   TraceRecordStream stream_a(source_a);
   TraceRecordStream stream_b(source_b);

@@ -1,14 +1,13 @@
-// Execution-trace persistence and offline diffing.
+// Execution traces in memory and offline diffing.
 //
 // Traces are the verification artifact (sched/trace.h): the gc-ordered list
 // of critical events a run executed.  Persisting them enables the offline
 // debugging workflow: record on one machine, replay elsewhere, and diff the
-// two trace files to pinpoint the first divergent event without rerunning
-// anything (examples/trace_diff.cpp).
-//
-// Format: magic "DJVUTRC1", version, vm_id, count, records (gc as delta
-// varint, thread varint, kind u8, aux u64), CRC32 trailer.  Corrupt input
-// throws LogFormatError (invariant I7).
+// two saved traces to pinpoint the first divergent event without rerunning
+// anything (examples/trace_diff.cpp).  A saved trace is a DJVUSPL1 spool of
+// gc-ordered kTrace items (record::save_trace_spool, Session::save_traces),
+// so it is read back like any other spool: load_spool(path).trace, or
+// streamed by diff_trace_files.
 #pragma once
 
 #include <string>
@@ -20,23 +19,13 @@
 
 namespace djvu::record {
 
-/// A persisted trace: identity + gc-sorted records.
+/// A trace: identity + gc-sorted records.
 struct TraceFile {
   DjvmId vm_id = 0;
   std::vector<sched::TraceRecord> records;
 
   friend bool operator==(const TraceFile&, const TraceFile&) = default;
 };
-
-/// Serializes (records must already be gc-sorted; sorted on load anyway).
-Bytes serialize_trace(const TraceFile& trace);
-
-/// Parses; throws LogFormatError on malformed input.
-TraceFile deserialize_trace(BytesView data);
-
-/// File helpers.
-void save_trace_to_file(const TraceFile& trace, const std::string& path);
-TraceFile load_trace_from_file(const std::string& path);
 
 /// One line of a trace diff report.
 struct TraceDiff {
@@ -55,8 +44,8 @@ struct TraceDiff {
 TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
                       std::size_t context_events = 3);
 
-/// Streaming diff of two on-disk traces (DJVUTRC1 trace files, or spool
-/// files whose trace stream is gc-ordered, e.g. single-threaded runs):
+/// Streaming diff of two spool files whose trace streams are gc-ordered
+/// (saved traces, or recordings of single-threaded runs):
 /// reads both files in lockstep through record::LogSource and stops at the
 /// first divergence — resident memory is O(context_events) and a diff that
 /// diverges early never reads the rest of either file.  The early exit is
@@ -66,10 +55,10 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
 /// out of gc order (a multi-threaded spool — load it with load_spool and
 /// use diff_traces instead).
 ///
-/// start_gc > 0 restricts the diff to records at gc >= start_gc.  Spool
+/// start_gc > 0 restricts the diff to records at gc >= start_gc: both
 /// inputs seek there through the index (LogSource::seek_to_gc — O(log
-/// chunks) with a footer instead of decoding the prefix); trace files skip
-/// forward while streaming.  position is then relative to the first
+/// chunks) with a footer instead of decoding the prefix).  position is then
+/// relative to the first
 /// compared record, and records below start_gc are assumed equal — use it
 /// when an earlier pass already located the divergence region.
 TraceDiff diff_trace_files(const std::string& path_a,

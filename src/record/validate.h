@@ -1,6 +1,6 @@
-// Structural validation of a loaded log bundle.
+// Structural validation of a loaded log.
 //
-// The serializer's CRC catches bit rot; validate() catches *semantic*
+// The spool's chunk CRCs catch bit rot; validate() catches *semantic*
 // corruption (or a buggy producer): schedules that do not partition the
 // global order, entries for threads with no schedule, impossible values.
 // Running it before replay turns "mysterious divergence 40 seconds in"
@@ -14,10 +14,10 @@
 
 namespace djvu::record {
 
-/// Problems found in a bundle (empty == valid).
+/// Problems found in a log (empty == valid).
 std::vector<std::string> validate(const VmLog& log);
 
-/// Throws LogFormatError listing every problem when the bundle is invalid.
+/// Throws LogFormatError listing every problem when the log is invalid.
 void validate_or_throw(const VmLog& log);
 
 }  // namespace djvu::record

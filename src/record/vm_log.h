@@ -1,6 +1,6 @@
 // The complete record-phase output of one DJVM: identity, logical thread
-// schedule, network log and summary statistics.  This is what gets written
-// to disk after record and loaded before replay.
+// schedule, network log and summary statistics.  This is what a spool file
+// (record/log_spool.h) holds and what replay loads back.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +88,8 @@ struct VmLog {
   /// Causal-mode partial order (empty for total-order recordings).
   CausalLog causal;
   RecordStats stats;
+
+  friend bool operator==(const VmLog&, const VmLog&) = default;
 };
 
 }  // namespace djvu::record

@@ -18,9 +18,8 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "core/session.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "sched/causal_order.h"
 #include "tests/test_util.h"
 #include "vm/monitor.h"
@@ -241,12 +240,9 @@ TEST(CausalReplay, DigestEquivalenceTotalBaseline) {
 // Cross-mode: one causal recording, both replay modes.
 
 std::vector<record::VmLog> collect_logs(const core::RunResult& rec) {
-  // VmLog is move-only; clone through the serializer (as session.cc does).
   std::vector<record::VmLog> logs;
   for (const auto& info : rec.vms) {
-    if (info.log) {
-      logs.push_back(record::deserialize(record::serialize(*info.log)));
-    }
+    if (info.log) logs.push_back(*info.log);
   }
   return logs;
 }
@@ -278,88 +274,59 @@ TEST(CausalReplay, TotalRecordingRefusedUnderCausalReplay) {
 }
 
 TEST(CausalReplay, CausalRecordingSerializesRoundTrip) {
-  // The v2 bundle (with the causal section) survives serialize/deserialize
-  // and still replays causally.
+  // A causal log (with its causal items) survives a save to a spool file
+  // and a load back, and still replays causally.
   core::Session rec_s =
       make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
   auto rec = rec_s.record(77);
+  const std::string path =
+      ::testing::TempDir() + "/causal_replay_test_roundtrip.djvuspool";
   std::vector<record::VmLog> logs;
   for (const auto& info : rec.vms) {
     if (info.log) {
-      logs.push_back(record::deserialize(record::serialize(*info.log)));
+      record::save_spooled_log(*info.log, path);
+      logs.push_back(record::load_spooled_log(path));
+      EXPECT_EQ(logs.back(), *info.log);
       EXPECT_FALSE(logs.back().causal.empty());
     }
   }
+  std::filesystem::remove(path);
   core::Session rep_s =
       make_session(OrderMode::kCausal, /*sharding=*/true, /*leasing=*/true);
   auto rep = rep_s.replay_logs(logs, 78);
   expect_equal_digests(rec, rep);
 }
 
-// Varint-encoded byte length of v — mirrors ByteWriter::varint.
-std::size_t varint_len(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 TEST(CausalReplay, DeltaPackedCausalSectionRoundTripsAndShrinks) {
-  // v3 packs the causal section as first-seq + zigzag deltas.  Per-key seqs
-  // in one thread's stream wander around nearby values, so the deltas are
-  // small even when the absolutes have grown large — the packed section must
-  // be materially smaller than the raw-varint (v2) layout, and the roundtrip
-  // must be exact.
-  record::VmLog log;
-  log.vm_id = 3;
-  log.causal.per_thread.resize(2);
+  // The spooler packs causal seqs as first-seq + zigzag deltas (kCausalDelta
+  // items).  Per-key seqs in one thread's stream wander around nearby
+  // values, so the deltas are small even when the absolutes have grown
+  // large — the packed items must be materially smaller than the
+  // raw-varint (kCausal) layout, and the roundtrip must be exact.
+  std::vector<std::vector<std::uint64_t>> per_thread(2);
   // Large absolutes (3-byte varints) with small interleaved-key wander
   // (1-byte zigzag deltas) — the realistic late-run shape.
   for (std::uint64_t i = 0; i < 512; ++i) {
-    log.causal.per_thread[0].push_back(100000 + i + (i % 3));
-    log.causal.per_thread[1].push_back(250000 + i - (i % 5));
+    per_thread[0].push_back(100000 + i + (i % 3));
+    per_thread[1].push_back(250000 + i - (i % 5));
   }
-  log.stats.critical_events = log.causal.event_count();
 
-  const Bytes packed = record::serialize(log);
-  const record::VmLog back = record::deserialize(packed);
-  EXPECT_EQ(back.causal, log.causal);
-  EXPECT_EQ(back.vm_id, log.vm_id);
+  std::size_t packed_causal = 0;
+  std::size_t raw_causal = 0;
+  for (ThreadNum t = 0; t < per_thread.size(); ++t) {
+    const Bytes packed = record::encode_causal_delta_item(t, per_thread[t]);
+    const auto [thread, back] = record::decode_causal_delta_item(packed);
+    EXPECT_EQ(thread, t);
+    EXPECT_EQ(back, per_thread[t]);
+    packed_causal += packed.size();
 
-  // Size check: subtract the causal-free bundle to isolate the section,
-  // then compare against what raw varint absolutes (v2) would have cost.
-  // (VmLog is move-only, so rebuild the baseline instead of copying.)
-  record::VmLog base;
-  base.vm_id = log.vm_id;
-  base.stats = log.stats;
-  const std::size_t packed_causal =
-      packed.size() - record::serialize(base).size();
-  std::size_t raw_causal = varint_len(log.causal.per_thread.size());
-  for (const auto& list : log.causal.per_thread) {
-    raw_causal += varint_len(list.size());
-    for (std::uint64_t s : list) raw_causal += varint_len(s);
+    // Compatibility: the raw-varint item still decodes to the same seqs.
+    const Bytes raw = record::encode_causal_item(t, per_thread[t]);
+    EXPECT_EQ(record::decode_causal_item(raw).second, per_thread[t]);
+    raw_causal += raw.size();
   }
   EXPECT_LT(packed_causal * 2, raw_causal)
-      << "delta packing should at least halve the causal section here";
-
-  // Compatibility: a hand-built v2 bundle (raw varint absolutes) still
-  // loads to the same causal log.
-  ByteWriter w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>("DJVULOG1"), 8));
-  w.u16(2).u32(log.vm_id);
-  w.varint(log.stats.critical_events).varint(log.stats.network_events);
-  w.varint(0);  // schedule: no threads
-  w.varint(0);  // network: no threads
-  w.varint(log.causal.per_thread.size());
-  for (const auto& list : log.causal.per_thread) {
-    w.varint(list.size());
-    for (std::uint64_t s : list) w.varint(s);
-  }
-  w.u32(crc32(w.view()));
-  const record::VmLog v2 = record::deserialize(w.view());
-  EXPECT_EQ(v2.causal, log.causal);
+      << "delta packing should at least halve the causal items here";
 }
 
 TEST(CausalReplay, SpooledCausalRecordingReplaysFromDisk) {

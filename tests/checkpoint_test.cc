@@ -1,13 +1,15 @@
 // Tests for the checkpointing extension (src/checkpoint): quiescent-point
-// snapshots, replay-from-checkpoint, serialization.
+// snapshots, replay-from-checkpoint, serialization, saved logs.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "checkpoint/checkpoint.h"
-#include "record/serializer.h"
+#include "core/session.h"
 #include "net/network.h"
+#include "record/log_spool.h"
 #include "vm/thread.h"
 
 namespace djvu {
@@ -99,8 +101,7 @@ TEST(Checkpoint, FullReplayStillWorksWithBarriers) {
   cfg.vm_id = 1;
   cfg.mode = vm::Mode::kReplay;
   vm::Vm v(network, cfg,
-           std::make_shared<const record::VmLog>(
-               record::deserialize(record::serialize(rec.vm_log))));
+           std::make_shared<const record::VmLog>(rec.vm_log));
   v.attach_main();
   PhasedApp app;
   app.run(v, 0, nullptr);
@@ -118,8 +119,7 @@ TEST(Checkpoint, ResumeFromEachPhaseReproducesFinalState) {
     cfg.vm_id = 1;
     cfg.mode = vm::Mode::kReplay;
     vm::Vm v(network, cfg,
-             std::make_shared<const record::VmLog>(
-                 record::deserialize(record::serialize(rec.vm_log))));
+             std::make_shared<const record::VmLog>(rec.vm_log));
     v.attach_main();
     PhasedApp app;
     app.run(v, resume_phase, &rec.cp_log);
@@ -140,8 +140,7 @@ TEST(Checkpoint, ResumeSkipsWork) {
   cfg.vm_id = 1;
   cfg.mode = vm::Mode::kReplay;
   vm::Vm v(network, cfg,
-           std::make_shared<const record::VmLog>(
-               record::deserialize(record::serialize(rec.vm_log))));
+           std::make_shared<const record::VmLog>(rec.vm_log));
   v.attach_main();
   PhasedApp app;
   app.run(v, 3, &rec.cp_log);  // skip all three phases
@@ -186,6 +185,26 @@ TEST(Checkpoint, DuplicateTrackingRejected) {
   cp.track_var("x", x);
   EXPECT_THROW(cp.track_var("x", x), UsageError);
   v.detach_current();
+}
+
+// A checkpointed recording saved with Session::save_logs loads back to
+// exactly the recorded log, and replay_from the directory verifies.
+TEST(Checkpoint, SavedLogsRoundTripAndReplay) {
+  core::Session s;
+  s.add_vm("app", 1, true, [](vm::Vm& v) {
+    PhasedApp app;
+    app.run(v, 0, nullptr);
+  });
+  auto rec = s.record(31);
+  const std::string dir = testing::TempDir() + "/checkpoint_test_saved";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  core::Session::save_logs(rec, dir);
+  EXPECT_EQ(record::load_spooled_log(dir + "/app.djvuspool"),
+            *rec.vm("app").log);
+  auto rep = s.replay_from(dir, 32);
+  core::verify(rec, rep);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

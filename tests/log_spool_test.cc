@@ -14,21 +14,36 @@
 //     still throws LogFormatError;
 //   * the bounded-memory acceptance criterion: the spooler's
 //     queue_high_water_bytes never exceeds the configured buffer even when
-//     the run streams many times that much log data.
+//     the run streams many times that much log data;
+//   * saved logs (Session::save_logs): for closed-world TCP, open-world,
+//     multicast and causal recordings the spool loads back to exactly the
+//     recorded VmLog and replay_from the directory verifies (the
+//     checkpointed case is in checkpoint_test);
+//   * the corruption sweep: every truncation and 512 seeded bit flips of a
+//     small saved spool (with and without its index footer) load a prefix
+//     of the log or throw LogFormatError, within a memory bound set by the
+//     file size.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/session.h"
 #include "record/log_spool.h"
 #include "record/spool_codec.h"
 #include "record/trace_io.h"
 #include "tests/test_util.h"
+#include "vm/datagram_api.h"
 #include "vm/monitor.h"
 #include "vm/shared_var.h"
 #include "vm/socket_api.h"
@@ -37,6 +52,11 @@
 
 namespace djvu {
 namespace {
+
+/// Largest single allocation request made while g_track_alloc is set (the
+/// replaced global operator new at the end of this file feeds it).
+std::atomic<bool> g_track_alloc{false};
+std::atomic<std::size_t> g_max_alloc{0};
 
 std::string fresh_dir(const std::string& tag) {
   std::string dir = ::testing::TempDir() + "log_spool_test_" + tag;
@@ -295,8 +315,8 @@ TEST(LogSpool, RecordSpoolReplayDigestEquivalence) {
 }
 
 // Spooled and in-memory replays of the SAME recording agree bit-for-bit:
-// replay the spooled logs, then round-trip those logs through the bundle
-// serializer and replay again.
+// replay the logs loaded back from the spool files, then a compressed
+// recording of the same run.
 TEST(LogSpool, SpooledLogMatchesBundlePath) {
   const std::string dir = fresh_dir("bundle");
   core::SessionConfig cfg;
@@ -531,5 +551,231 @@ TEST(LogSpool, OversizedNetworkEntryKeepsFifoOrder) {
   EXPECT_EQ(entries[2], small_after);
 }
 
+// --- saved logs -------------------------------------------------------------
+
+/// Records `s` in memory, saves its logs with Session::save_logs, and
+/// checks that every spool loads back to exactly the recorded VmLog and
+/// that replay_from the directory verifies.
+void expect_saved_logs_round_trip(core::Session& s, const std::string& tag) {
+  const std::string dir = fresh_dir("saved_" + tag);
+  auto rec = s.record(971);
+  core::Session::save_logs(rec, dir);
+  int saved = 0;
+  for (const auto& info : rec.vms) {
+    if (!info.log) continue;
+    ++saved;
+    EXPECT_EQ(record::load_spooled_log(dir + "/" + info.name + ".djvuspool"),
+              *info.log)
+        << tag << " " << info.name;
+  }
+  EXPECT_GT(saved, 0) << tag;
+  auto rep = s.replay_from(dir, 972);
+  core::verify(rec, rep);
+}
+
+TEST(SavedLogs, ClosedWorldTcpRoundTrips) {
+  core::Session s = make_stress({});
+  expect_saved_logs_round_trip(s, "tcp");
+}
+
+TEST(SavedLogs, OpenWorldRoundTrips) {
+  core::Session s;
+  s.add_vm("feeder", 1, /*djvm=*/false, [](vm::Vm& v) {
+    vm::ServerSocket listener(v, 4720);
+    auto sock = listener.accept();
+    for (int m = 0; m < 4; ++m) {
+      sock->output_stream().write(Bytes(300, static_cast<std::uint8_t>(m)));
+    }
+    sock->close();
+    listener.close();
+  });
+  s.add_vm("reader", 2, /*djvm=*/true, [](vm::Vm& v) {
+    vm::SharedVar<std::uint64_t> sum(v, 0);
+    auto sock = testutil::connect_retry(v, {1, 4720});
+    for (int m = 0; m < 4; ++m) {
+      const Bytes msg = testutil::read_exactly(*sock, 300);
+      sum.set(sum.get() + msg[0]);
+    }
+    sock->close();
+  });
+  expect_saved_logs_round_trip(s, "open");
+}
+
+TEST(SavedLogs, MulticastRoundTrips) {
+  constexpr net::HostId kGroupHost = net::kMulticastHostBase + 9;
+  core::Session s;
+  for (int m = 0; m < 2; ++m) {
+    s.add_vm("member" + std::to_string(m), 1 + m, true, [](vm::Vm& v) {
+      vm::MulticastSocket sock(v, 4730);
+      sock.join_group({kGroupHost, 4730});
+      for (int i = 0; i < 4; ++i) sock.receive();
+      sock.leave_group({kGroupHost, 4730});
+      sock.close();
+    });
+  }
+  s.add_vm("sender", 9, true, [](vm::Vm& v) {
+    vm::DatagramSocket sock(v, 4731);
+    testutil::await_group_members(v, {kGroupHost, 4730}, 2);
+    for (int i = 0; i < 4; ++i) {
+      vm::DatagramPacket p;
+      p.address = {kGroupHost, 4730};
+      p.data = {static_cast<std::uint8_t>(i)};
+      sock.send(p);
+    }
+    sock.close();
+  });
+  expect_saved_logs_round_trip(s, "multicast");
+}
+
+TEST(SavedLogs, CausalRoundTrips) {
+  core::SessionConfig cfg;
+  cfg.tuning.order_mode = OrderMode::kCausal;
+  core::Session s = make_stress(cfg);
+  expect_saved_logs_round_trip(s, "causal");
+}
+
+// --- corruption sweep -------------------------------------------------------
+
+void write_bytes(const std::string& path, BytesView data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  std::fclose(f);
+}
+
+Bytes read_bytes(const std::string& path) {
+  Bytes data(file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
+  std::fclose(f);
+  return data;
+}
+
+/// Loads `data` (written to `path`) and checks the sweep's contract: the
+/// load yields a prefix of `original` — every per-thread interval list and
+/// network list a prefix of the recorded one — or throws LogFormatError,
+/// and no single allocation outgrows a bound set by the file size.
+void expect_prefix_or_format_error(const std::string& path, BytesView data,
+                                   const record::VmLog& original,
+                                   const std::string& what) {
+  write_bytes(path, data);
+  g_max_alloc.store(0);
+  g_track_alloc.store(true);
+  std::optional<record::VmLog> got;
+  try {
+    got = record::load_spool(path).log;
+  } catch (const LogFormatError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw a non-format error: " << e.what();
+  }
+  g_track_alloc.store(false);
+  // Chunk buffers and decoded items never exceed the file; per-thread
+  // vectors are capped at one slot per file byte (24 bytes a slot).
+  EXPECT_LE(g_max_alloc.load(), 32 * data.size() + (64u << 10)) << what;
+  if (!got) return;
+  const auto& lists = got->schedule.per_thread;
+  ASSERT_LE(lists.size(), original.schedule.per_thread.size()) << what;
+  for (std::size_t t = 0; t < lists.size(); ++t) {
+    const auto& want = original.schedule.per_thread[t];
+    ASSERT_LE(lists[t].size(), want.size()) << what << " thread " << t;
+    EXPECT_TRUE(std::equal(lists[t].begin(), lists[t].end(), want.begin()))
+        << what << " thread " << t;
+  }
+  for (ThreadNum t : got->network.threads()) {
+    const auto entries = got->network.thread_entries(t);
+    const auto want = original.network.thread_entries(t);
+    ASSERT_LE(entries.size(), want.size()) << what << " thread " << t;
+    EXPECT_TRUE(std::equal(entries.begin(), entries.end(), want.begin()))
+        << what << " thread " << t;
+  }
+}
+
+TEST(LogSpool, CorruptionSweepLoadsPrefixOrThrows) {
+  core::Session s = make_stress({});
+  auto rec = s.record(981);
+  const std::string dir = fresh_dir("sweep");
+  core::Session::save_logs(rec, dir);
+  const record::VmLog& original = *rec.vm("server").log;
+  const std::string saved = dir + "/server.djvuspool";
+  const Bytes footered = read_bytes(saved);
+  ASSERT_LT(footered.size(), 8u << 10);
+  ASSERT_GT(original.network.size(), 0u);
+  std::uint64_t data_end = 0;
+  {
+    record::LogSource source(saved);
+    ASSERT_NE(source.index(), nullptr);
+    data_end = source.index()->data_end;
+  }
+  const Bytes footerless(footered.begin(),
+                         footered.begin() + static_cast<std::ptrdiff_t>(data_end));
+
+  const std::string path = dir + "/mutant.djvuspool";
+  Xoshiro256 rng(8675309);
+  for (const auto& [name, file] :
+       {std::pair<const char*, const Bytes&>{"footered", footered},
+        std::pair<const char*, const Bytes&>{"footerless", footerless}}) {
+    for (std::size_t keep = 0; keep <= file.size(); ++keep) {
+      expect_prefix_or_format_error(
+          path, BytesView(file.data(), keep), original,
+          std::string(name) + " cut to " + std::to_string(keep));
+    }
+    for (int i = 0; i < 512; ++i) {
+      Bytes mutant = file;
+      const std::uint64_t bit = rng.next_below(mutant.size() * 8);
+      mutant[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      expect_prefix_or_format_error(
+          path, mutant, original,
+          std::string(name) + " bit " + std::to_string(bit) + " flipped");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace djvu
+
+// Counting replacement of the global allocation functions for the
+// corruption sweep's memory bound.  Every plain form is replaced, so each
+// allocation and its release go through malloc/free as a pair.
+namespace {
+
+void* counted_alloc(std::size_t n) noexcept {
+  if (djvu::g_track_alloc.load(std::memory_order_relaxed)) {
+    std::size_t seen = djvu::g_max_alloc.load(std::memory_order_relaxed);
+    while (n > seen && !djvu::g_max_alloc.compare_exchange_weak(seen, n)) {
+    }
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line so the compiler never sees free() applied to what a
+// replaced operator new returned.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}

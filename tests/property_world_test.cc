@@ -7,7 +7,6 @@
 
 #include "checkpoint/checkpoint.h"
 #include "core/session.h"
-#include "record/serializer.h"
 #include "tests/test_util.h"
 #include "vm/shared_var.h"
 #include "vm/socket_api.h"
@@ -105,8 +104,7 @@ TEST_P(CheckpointSweep, ResumeReproduces) {
     cfg.mode = mode;
     std::shared_ptr<const record::VmLog> replay_log;
     if (mode == vm::Mode::kReplay) {
-      replay_log = std::make_shared<const record::VmLog>(
-          record::deserialize(record::serialize(*vm_log)));
+      replay_log = std::make_shared<const record::VmLog>(*vm_log);
     }
     vm::Vm v(network, cfg, replay_log);
     v.attach_main();

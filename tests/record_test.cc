@@ -1,12 +1,12 @@
-// Unit tests for src/record: network log, serializer round-trips,
-// corruption rejection, text export.
+// Unit tests for src/record: network log, spooled-log round trips, the
+// log-size metric, text export.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "common/rng.h"
-#include "record/serializer.h"
+#include "record/log_spool.h"
 #include "record/text_export.h"
 
 namespace djvu::record {
@@ -87,65 +87,46 @@ VmLog sample_log() {
   return log;
 }
 
-TEST(Serializer, RoundTripIdentity) {
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + "/" + name + ".djvuspool";
+}
+
+Bytes read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  Bytes out;
+  std::uint8_t buf[4096];
+  std::size_t n;
+  while (f != nullptr && (n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  if (f != nullptr) std::fclose(f);
+  return out;
+}
+
+TEST(SpooledLog, RoundTripIdentity) {
   VmLog log = sample_log();
-  Bytes data = serialize(log);
-  VmLog back = deserialize(data);
+  const std::string path = temp_path("djvu_record_roundtrip");
+  save_spooled_log(log, path);
+  VmLog back = load_spooled_log(path);
 
   EXPECT_EQ(back.vm_id, log.vm_id);
   EXPECT_EQ(back.stats, log.stats);
   EXPECT_EQ(back.schedule, log.schedule);
   EXPECT_TRUE(back.network == log.network);
-  // Re-serialization is byte-identical (canonical form).
-  EXPECT_EQ(serialize(back), data);
-}
-
-TEST(Serializer, CorruptionRejected) {
-  Bytes data = serialize(sample_log());
-  for (std::size_t pos : {std::size_t{0}, std::size_t{9}, data.size() / 2,
-                          data.size() - 5}) {
-    Bytes bad = data;
-    bad[pos] ^= 0x40;
-    EXPECT_THROW(deserialize(bad), LogFormatError) << "flip at " << pos;
-  }
-}
-
-TEST(Serializer, TruncationRejected) {
-  Bytes data = serialize(sample_log());
-  for (std::size_t keep : {std::size_t{0}, std::size_t{4}, data.size() - 1}) {
-    Bytes bad(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_THROW(deserialize(bad), LogFormatError) << "keep " << keep;
-  }
-}
-
-TEST(Serializer, TrailingGarbageRejected) {
-  Bytes data = serialize(sample_log());
-  // Valid CRC over extended body would be needed; just appending breaks the
-  // CRC, which is also a rejection path.
-  data.push_back(0);
-  EXPECT_THROW(deserialize(data), LogFormatError);
-}
-
-TEST(Serializer, BadMagicRejected) {
-  Bytes data = serialize(sample_log());
-  data[0] = 'X';
-  EXPECT_THROW(deserialize(data), LogFormatError);
-}
-
-TEST(Serializer, FileRoundTrip) {
-  VmLog log = sample_log();
-  std::string path = testing::TempDir() + "/djvu_serializer_test.djvulog";
-  save_to_file(log, path);
-  VmLog back = load_from_file(path);
-  EXPECT_EQ(serialize(back), serialize(log));
+  EXPECT_EQ(back, log);
+  // Re-saving the loaded log is byte-identical (canonical form).
+  const std::string again = temp_path("djvu_record_roundtrip_again");
+  save_spooled_log(back, again);
+  EXPECT_EQ(read_file(again), read_file(path));
   std::remove(path.c_str());
+  std::remove(again.c_str());
 }
 
-TEST(Serializer, MissingFileThrows) {
-  EXPECT_THROW(load_from_file("/nonexistent/dir/x.djvulog"), Error);
+TEST(SpooledLog, MissingFileThrows) {
+  EXPECT_THROW(load_spooled_log("/nonexistent/dir/x.djvuspool"), Error);
 }
 
-TEST(Serializer, IntervalEncodingIsCompact) {
+TEST(SpooledLog, IntervalEncodingIsCompact) {
   // The paper: "a schedule interval [typically consists] of thousands of
   // critical events, all of which can be efficiently encoded by two ...
   // counter values."  A giant interval costs the same as a tiny one.
@@ -155,11 +136,12 @@ TEST(Serializer, IntervalEncodingIsCompact) {
   VmLog huge;
   huge.vm_id = 1;
   huge.schedule.per_thread = {{{0, 1000000}}};
-  // The delta encoding makes the huge interval at most a few bytes larger.
-  EXPECT_LE(serialize(huge).size(), serialize(small).size() + 4);
+  // The delta encoding makes the huge interval (and its finish stats) at
+  // most a few bytes larger.
+  EXPECT_LE(spool_item_bytes(huge), spool_item_bytes(small) + 4);
 }
 
-TEST(Serializer, ManyThreadsManyIntervals) {
+TEST(SpooledLog, ManyThreadsManyIntervals) {
   Xoshiro256 rng(5);
   VmLog log;
   log.vm_id = 3;
@@ -171,8 +153,21 @@ TEST(Serializer, ManyThreadsManyIntervals) {
     log.schedule.per_thread[t].push_back({g, g + len - 1});
     g += len + rng.next_below(3) + 1;
   }
-  VmLog back = deserialize(serialize(log));
+  const std::string path = temp_path("djvu_record_many_threads");
+  save_spooled_log(log, path);
+  VmLog back = load_spooled_log(path);
   EXPECT_EQ(back.schedule, log.schedule);
+  std::remove(path.c_str());
+}
+
+TEST(SpoolItemBytes, EqualsTheItemBytesSaved) {
+  VmLog log = sample_log();
+  log.causal.per_thread = {{1, 2, 1}, {1, 3}, {}};
+  const std::string path = temp_path("djvu_record_item_bytes");
+  const SpoolStats stats = save_spooled_log(log, path);
+  EXPECT_EQ(spool_item_bytes(log), stats.raw_bytes);
+  EXPECT_EQ(load_spooled_log(path), log);
+  std::remove(path.c_str());
 }
 
 TEST(TextExport, MentionsKeyFields) {
@@ -183,21 +178,6 @@ TEST(TextExport, MentionsKeyFields) {
   EXPECT_NE(text.find("error=refused"), std::string::npos);
   EXPECT_NE(text.find("dg=<vm2,gc9999>"), std::string::npos);
   EXPECT_NE(text.find("[0,10]"), std::string::npos);
-}
-
-TEST(LogPayloadSize, ExcludesFraming) {
-  VmLog log = sample_log();
-  EXPECT_EQ(log_payload_size(log), serialize(log).size() - 18);
-  EXPECT_EQ(kLogFramingBytes, 18u);
-}
-
-TEST(LogPayloadSize, BufferOverloadMatchesLogOverload) {
-  VmLog log = sample_log();
-  const Bytes serialized = serialize(log);
-  // The buffer overload must agree with the serialize-internally overload,
-  // and both must pin payload == bundle − framing.
-  EXPECT_EQ(log_payload_size(serialized), log_payload_size(log));
-  EXPECT_EQ(log_payload_size(serialized), serialized.size() - kLogFramingBytes);
 }
 
 }  // namespace

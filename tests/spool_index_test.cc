@@ -14,8 +14,7 @@
 //     bit-identical VmLog and trace across {compression} x {order mode};
 //   * determinism pins: equal-gc trace records keep file order under both
 //     loaders (stable sort), the whole-file CRC catches corruption the
-//     per-chunk CRCs cannot see (the file header), and the trace-file
-//     trailing CRC is verified when streaming;
+//     per-chunk CRCs cannot see (the file header);
 //   * the replay doctor's indexed fast path agrees with the footerless
 //     two-pass diagnosis on owner, context, totals and verdict.
 
@@ -34,9 +33,7 @@
 #include "common/crc32.h"
 #include "core/session.h"
 #include "record/log_spool.h"
-#include "record/serializer.h"
 #include "record/spool_index.h"
-#include "record/trace_io.h"
 #include "replay/doctor.h"
 #include "tests/test_util.h"
 #include "vm/shared_var.h"
@@ -176,7 +173,7 @@ TEST(SpoolIndex, FooterMatchesRebuiltScan) {
 TEST(SpoolIndex, TornFooterFallsBackToCleanSequentialLoad) {
   const std::string dir = fresh_dir("torn");
   const std::string path = write_known_spool(dir);
-  const Bytes baseline = record::serialize(record::load_spooled_log(path));
+  const record::VmLog baseline = record::load_spooled_log(path);
 
   // Shave one byte: the trailer magic is destroyed but every chunk —
   // finish included — survives, so the file is a complete recording that
@@ -189,7 +186,7 @@ TEST(SpoolIndex, TornFooterFallsBackToCleanSequentialLoad) {
   bool clean = false;
   record::VmLog log = record::load_spooled_log(path, &clean);
   EXPECT_TRUE(clean);
-  EXPECT_EQ(record::serialize(log), baseline);
+  EXPECT_EQ(log, baseline);
 
   // Seeking still works through the rebuild-scan fallback.
   record::LogSource seeker(path);
@@ -322,9 +319,9 @@ TEST_P(ParallelLoad, BitIdenticalToSequential) {
     EXPECT_TRUE(a.clean_end) << name;
     EXPECT_TRUE(b.clean_end) << name;
     EXPECT_EQ(b.truncated_bytes, 0u) << name;
-    // Bit-identical fold: the serialized bundle, the trace stream and its
-    // digest all agree with the sequential decode.
-    EXPECT_EQ(record::serialize(a.log), record::serialize(b.log)) << name;
+    // Bit-identical fold: the log, the trace stream and its digest all
+    // agree with the sequential decode.
+    EXPECT_EQ(a.log, b.log) << name;
     EXPECT_EQ(a.trace.records, b.trace.records) << name;
     EXPECT_EQ(sched::trace_digest(a.trace.records),
               sched::trace_digest(b.trace.records))
@@ -336,7 +333,7 @@ TEST_P(ParallelLoad, BitIdenticalToSequential) {
     record::VmLog lb = record::load_spooled_log(path, &clean_b, parallel);
     EXPECT_TRUE(clean_a) << name;
     EXPECT_TRUE(clean_b) << name;
-    EXPECT_EQ(record::serialize(la), record::serialize(lb)) << name;
+    EXPECT_EQ(la, lb) << name;
   }
 }
 
@@ -384,30 +381,6 @@ TEST(SpoolLoad, WholeFileCrcCatchesHeaderCorruption) {
   // the footer's whole-file CRC can notice this flip.
   flip_byte(path, 10);
 
-  record::LogSource source(path);
-  EXPECT_THROW(
-      {
-        while (source.next()) {
-        }
-      },
-      LogFormatError);
-}
-
-TEST(TraceFileCrc, TrailingCrcVerifiedWhenStreaming) {
-  const std::string dir = fresh_dir("trccrc");
-  const std::string path = dir + "/vm.djvutrace";
-  record::TraceFile trace;
-  trace.vm_id = 4;
-  for (GlobalCount g = 0; g < 32; ++g) {
-    trace.records.push_back(
-        {g, static_cast<ThreadNum>(g % 2), sched::EventKind::kSharedRead, g});
-  }
-  record::save_trace_to_file(trace, path);
-
-  // Flip a byte inside the LAST record's aux field: varint structure stays
-  // intact, so only the trailing CRC — previously unverified on the
-  // streaming path — can catch it.
-  flip_byte(path, file_size(path) - 6);
   record::LogSource source(path);
   EXPECT_THROW(
       {

@@ -1,14 +1,14 @@
-// Tests for trace persistence/diffing (record/trace_io) and log statistics
-// (record/log_stats).
+// Tests for trace persistence (trace spools, record/log_spool) and diffing
+// (record/trace_io), and log statistics (record/log_stats).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
-#include "common/crc32.h"
 #include "core/session.h"
+#include "record/log_spool.h"
 #include "record/log_stats.h"
-#include "record/serializer.h"
 #include "record/trace_io.h"
 #include "vm/shared_var.h"
 #include "vm/thread.h"
@@ -33,20 +33,18 @@ TraceFile sample_trace() {
   return t;
 }
 
-TEST(TraceIo, RoundTrip) {
-  TraceFile t = sample_trace();
-  Bytes data = serialize_trace(t);
-  EXPECT_EQ(deserialize_trace(data), t);
+/// Saves `t` as a trace spool and loads it back.
+TraceFile spool_round_trip(const TraceFile& t) {
+  const std::string path = testing::TempDir() + "/djvu_trace_test.djvuspool";
+  save_trace_spool(t, path);
+  TraceFile back = load_spool(path).trace;
+  std::remove(path.c_str());
+  return back;
 }
 
-TEST(TraceIo, CorruptionRejected) {
-  Bytes data = serialize_trace(sample_trace());
-  for (std::size_t pos : {std::size_t{2}, data.size() / 2, data.size() - 2}) {
-    Bytes bad = data;
-    bad[pos] ^= 0x20;
-    EXPECT_THROW(deserialize_trace(bad), LogFormatError);
-  }
-  EXPECT_THROW(deserialize_trace(Bytes(6, 0)), LogFormatError);
+TEST(TraceIo, RoundTrip) {
+  TraceFile t = sample_trace();
+  EXPECT_EQ(spool_round_trip(t), t);
 }
 
 // Several records can share one counter value (e.g. a multi-record critical
@@ -62,7 +60,7 @@ TEST(TraceIo, DuplicateGcRecordsRoundTrip) {
     r.aux = static_cast<std::uint64_t>(i);
     t.records.push_back(r);
   }
-  EXPECT_EQ(deserialize_trace(serialize_trace(t)), t);
+  EXPECT_EQ(spool_round_trip(t), t);
 }
 
 // Gc deltas, thread numbers and aux payloads at varint/word boundaries must
@@ -86,68 +84,9 @@ TEST(TraceIo, VarintBoundaryValuesRoundTrip) {
     t.records.push_back(r);
     ++i;
   }
-  TraceFile back = deserialize_trace(serialize_trace(t));
+  TraceFile back = spool_round_trip(t);
   EXPECT_EQ(back, t);
   EXPECT_EQ(back.records.back().gc, gc);
-}
-
-TEST(TraceIo, MalformedInputsRejected) {
-  const Bytes good = serialize_trace(sample_trace());
-
-  // Truncation anywhere (header, body, or losing the CRC trailer).
-  for (std::size_t keep : {std::size_t{0}, std::size_t{7}, std::size_t{13},
-                           good.size() / 2, good.size() - 1}) {
-    EXPECT_THROW(deserialize_trace(BytesView(good.data(), keep)),
-                 LogFormatError)
-        << "truncated to " << keep << " bytes";
-  }
-
-  // Bad magic (CRC recomputed so the magic check itself is what fires).
-  TraceFile t = sample_trace();
-  Bytes bad_magic = serialize_trace(t);
-  bad_magic[0] ^= 0xff;
-  bad_magic.resize(bad_magic.size() - 4);
-  {
-    ByteWriter w;
-    w.raw(bad_magic);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-
-  // Unsupported version, same CRC-fixup treatment.
-  Bytes bad_version = serialize_trace(t);
-  bad_version[8] = 0x7e;
-  bad_version.resize(bad_version.size() - 4);
-  {
-    ByteWriter w;
-    w.raw(bad_version);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-
-  // CRC flip alone.
-  Bytes bad_crc = good;
-  bad_crc.back() ^= 0x01;
-  EXPECT_THROW(deserialize_trace(bad_crc), LogFormatError);
-
-  // Trailing garbage after the records, CRC made consistent.
-  Bytes padded = good;
-  padded.resize(padded.size() - 4);
-  padded.push_back(0xaa);
-  {
-    ByteWriter w;
-    w.raw(padded);
-    w.u32(crc32(w.view()));
-    EXPECT_THROW(deserialize_trace(w.view()), LogFormatError);
-  }
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  TraceFile t = sample_trace();
-  std::string path = testing::TempDir() + "/djvu_trace_test.djvutrace";
-  save_trace_to_file(t, path);
-  EXPECT_EQ(load_trace_from_file(path), t);
-  std::remove(path.c_str());
 }
 
 TEST(TraceIo, DiffIdentical) {
@@ -183,16 +122,17 @@ TEST(TraceIo, SessionSaveTraces) {
     for (int i = 0; i < 10; ++i) x.set(x.get() + 1);
   });
   auto rec = s.record(1);
-  std::string dir = testing::TempDir();
+  const std::string dir = testing::TempDir() + "/djvu_save_traces";
+  std::filesystem::create_directories(dir);
   core::Session::save_traces(rec, dir);
-  TraceFile loaded = load_trace_from_file(dir + "/app.djvutrace");
+  TraceFile loaded = load_spool(dir + "/app.djvuspool").trace;
   EXPECT_EQ(loaded.vm_id, rec.vm("app").vm_id);
   EXPECT_EQ(loaded.records.size(), rec.vm("app").trace.size());
   // Replay trace diffs clean against the loaded record trace.
   auto rep = s.replay(rec, 2);
   TraceFile replay_trace{rep.vm("app").vm_id, rep.vm("app").trace};
   EXPECT_TRUE(diff_traces(loaded, replay_trace).identical);
-  std::remove((dir + "/app.djvutrace").c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(LogStats, CountsScheduleShape) {
